@@ -159,6 +159,7 @@ fn main() {
             memtable_budget: BUDGET,
             workers,
             storage_px: 4.0e8,
+            plan: None,
         };
         let mut recorder = SummaryRecorder::new();
         let report = Fleet::new(&world, &runtime, params, config)

@@ -103,6 +103,9 @@ pub enum KodanError {
     /// accounting — the mission drops the entry and continues rather
     /// than aborting on orbit.
     InvalidQueueEntry,
+    /// The representative dataset has too few frames to split into
+    /// non-empty training and validation sets; carries the frame count.
+    DatasetTooSmall(usize),
 }
 
 impl fmt::Display for KodanError {
@@ -118,6 +121,10 @@ impl fmt::Display for KodanError {
             KodanError::InvalidQueueEntry => {
                 write!(f, "queue entry has a negative, non-finite or inconsistent size")
             }
+            KodanError::DatasetTooSmall(frames) => write!(
+                f,
+                "dataset has {frames} frame(s); training and validation need at least 2"
+            ),
         }
     }
 }

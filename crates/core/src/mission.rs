@@ -14,8 +14,8 @@
 
 use crate::dvd::DownlinkAccounting;
 use crate::plan::{ExecutionPlanner, FrameEstimate, PlacementLedger, TileEstimate};
-use crate::queue::{DownlinkQueue, QueueEntry};
-use crate::runtime::{bent_pipe_frame, FrameOutcome, Runtime};
+use crate::queue::{DownlinkQueue, DrainReport, QueueEntry};
+use crate::runtime::{bent_pipe_frame, tile_pixels, FrameOutcome, Runtime};
 use kodan_cote::constellation::Constellation;
 use kodan_cote::ground::GroundSegment;
 use kodan_cote::orbit::Orbit;
@@ -249,7 +249,7 @@ impl<'a> Mission<'a> {
 
     /// [`Mission::run_with_runtime`] with telemetry: frame sampling and
     /// every per-frame runtime decision are reported to `recorder` (see
-    /// [`Runtime::process_frame_recorded`]). Any `Recorder` works —
+    /// [`Runtime::process_frame`]). Any `Recorder` works —
     /// summary, tape, trace builder, flight recorder — and each sees the
     /// same byte-identical stream at any worker count, which is what the
     /// `kodan trace` / `kodan health` surfaces are built on.
@@ -281,7 +281,7 @@ impl<'a> Mission<'a> {
         runtime: &Runtime,
         frames: &[FrameImage],
     ) -> Vec<FrameEstimate> {
-        let outcomes = runtime.frame_outcomes(frames);
+        let outcomes = runtime.frame_outcomes(frames, &mut NullRecorder);
         frames
             .iter()
             .zip(outcomes.iter())
@@ -291,9 +291,7 @@ impl<'a> Mission<'a> {
                     .iter()
                     .enumerate()
                     .map(|(i, t)| {
-                        let px = (t.size() * t.size()) as u64;
-                        let clear_px =
-                            ((1.0 - t.cloud_fraction()) * px as f64).round() as u64;
+                        let (px, clear_px) = tile_pixels(t);
                         TileEstimate {
                             index: i as u32,
                             px,
@@ -346,11 +344,8 @@ impl<'a> Mission<'a> {
     ) -> PlannedMissionReport {
         let frames = self.sample_frames();
         recorder.span(StageId::FrameSampling, 0.0, frames.len() as u64);
-        let estimates = self.estimate_frames(runtime, &frames);
-        let plan = planner.plan_day(&estimates);
-        let ledger = plan.ledger.clone();
-        recorder.span(StageId::Planning, 0.0, plan.frames().len() as u64);
-        let planned = runtime.clone().with_plan(plan);
+        let planned = self.plan_runtime(runtime, planner, &frames, recorder);
+        let ledger = planned.plan().map(|p| p.ledger.clone()).unwrap_or_default();
         let (total, mean_time) = planned.process_frames_recorded(frames.iter(), recorder);
         recorder.span(StageId::Mission, total.compute.as_seconds(), frames.len() as u64);
         let report = self.summarize(SystemKind::Planned, &total, mean_time);
@@ -371,6 +366,22 @@ impl<'a> Mission<'a> {
         }
 
         PlannedMissionReport { report, ledger }
+    }
+
+    /// Plans the day for `frames` and returns `runtime` flying the plan:
+    /// the unplanned `runtime` estimates every frame, `planner` places
+    /// them, and the `Planning` span records how many frames it placed.
+    pub(crate) fn plan_runtime(
+        &self,
+        runtime: &Runtime,
+        planner: &ExecutionPlanner,
+        frames: &[FrameImage],
+        recorder: &mut dyn Recorder,
+    ) -> Runtime {
+        let estimates = self.estimate_frames(runtime, frames);
+        let plan = planner.plan_day(&estimates);
+        recorder.span(StageId::Planning, 0.0, plan.frames().len() as u64);
+        runtime.clone().with_plan(plan)
     }
 
     fn summarize(
@@ -493,7 +504,65 @@ impl<'a> Mission<'a> {
         assert!(storage_px > 0.0, "storage must be positive");
         assert!(bits_per_px > 0.0, "pixels must have bits");
         let frames = self.sample_frames();
-        let outcomes: Vec<FrameOutcome> = runtime.frame_outcomes(&frames);
+        let outcomes = runtime.frame_outcomes(&frames, &mut NullRecorder);
+        let own = own_passes(passes, 0);
+        let day = self.replay_day(&outcomes, &own, faults, storage_px, bits_per_px, recorder);
+        let mut sent_px = 0.0;
+        let mut sent_value_px = 0.0;
+        for drained in &day.drains {
+            sent_px += drained.sent_bits;
+            sent_value_px += drained.sent_value_bits;
+        }
+        DetailedMissionReport {
+            sent_px,
+            sent_value_px,
+            storage_dropped_px: day.storage_dropped_px,
+            residual_px: day.residual_px,
+            transmitted_density: if sent_px > 0.0 {
+                sent_value_px / sent_px
+            } else {
+                0.0
+            },
+            shed_px: day.shed_px,
+            contacts_dropped: day.contacts_dropped,
+            contacts_shortened: day.contacts_shortened,
+        }
+    }
+
+    /// Replays one satellite's day through a bounded, value-aware
+    /// downlink queue holding `storage_px` pixels: the one queue replay
+    /// behind both [`Mission::run_detailed_faulted`] and a fleet
+    /// satellite's day.
+    ///
+    /// Frame captures arrive every frame deadline, `frames_per_day` of
+    /// them; each enqueues the (cyclically reused) outcome of one sampled
+    /// frame, and captures beyond the compute budget are skipped before
+    /// they reach the queue. `passes` are the satellite's own passes,
+    /// sorted by start time; each drains the queue highest value density
+    /// first when it starts. Contact `k` is `passes[k]` degraded by
+    /// `faults` (fault-free without a plan); a dropped contact drains
+    /// nothing, and the capacity a faulted contact lost is shed from the
+    /// queue's lowest-density entries.
+    pub(crate) fn replay_day(
+        &self,
+        outcomes: &[FrameOutcome],
+        passes: &[ServedPass],
+        faults: Option<&FaultPlan>,
+        storage_px: f64,
+        bits_per_px: f64,
+        recorder: &mut dyn Recorder,
+    ) -> DayReplay {
+        let contacts: Vec<ContactOutcome> = match faults {
+            Some(plan) => plan.degrade_passes(passes),
+            None => passes
+                .iter()
+                .map(|p| ContactOutcome {
+                    pass: Some(p.clone()),
+                    fault: ContactFault::none(),
+                    lost_bits: 0.0,
+                })
+                .collect(),
+        };
         let mean_time = outcomes
             .iter()
             .fold(Duration::ZERO, |acc, o| acc + o.compute)
@@ -504,105 +573,27 @@ impl<'a> Mission<'a> {
             self.env.frame_deadline / mean_time
         };
 
-        // Build the day's event timeline: captures at every deadline,
-        // drains at each pass start (own satellite only).
         let deadline_s = self.env.frame_deadline.as_seconds();
         let mut queue = DownlinkQueue::new(storage_px);
-        let mut own_passes: Vec<ServedPass> =
-            passes.iter().filter(|p| p.satellite == 0).cloned().collect();
-        own_passes.sort_by(|a, b| {
-            a.start
-                .seconds_since_start()
-                .total_cmp(&b.start.seconds_since_start())
-        });
-        let contacts: Vec<ContactOutcome> = match faults {
-            Some(plan) => plan.degrade_passes(&own_passes),
-            None => own_passes
-                .iter()
-                .map(|p| ContactOutcome {
-                    pass: Some(p.clone()),
-                    fault: ContactFault::none(),
-                    lost_bits: 0.0,
-                })
-                .collect(),
-        };
-
-        let mut sent_px = 0.0;
-        let mut sent_value_px = 0.0;
-        let mut shed_px = 0.0;
-        let mut contacts_dropped = 0u64;
-        let mut contacts_shortened = 0u64;
-        let mut serve = |contact: &ContactOutcome,
-                         queue: &mut DownlinkQueue,
-                         sent_px: &mut f64,
-                         sent_value_px: &mut f64,
-                         shed_px: &mut f64,
-                         recorder: &mut dyn Recorder| {
-            if let Some(p) = &contact.pass {
-                let budget_px = p.bits() / bits_per_px;
-                let r = queue.drain(budget_px);
-                *sent_px += r.sent_bits;
-                *sent_value_px += r.sent_value_bits;
-            }
-            let fault = contact.fault;
-            if fault.dropped {
-                contacts_dropped += 1;
-                recorder.count(CounterId::FaultContactsDropped, 1);
-                recorder.event(TelemetryEvent::FaultInjected {
-                    kind: FaultKind::ContactDrop,
-                });
-            } else {
-                if fault.keep_fraction < 1.0 {
-                    contacts_shortened += 1;
-                    recorder.count(CounterId::FaultContactsShortened, 1);
-                    recorder.event(TelemetryEvent::FaultInjected {
-                        kind: FaultKind::ContactShorten,
-                    });
-                }
-                if fault.fade_db > 0.0 {
-                    recorder.event(TelemetryEvent::FaultInjected {
-                        kind: FaultKind::RainFade,
-                    });
-                }
-            }
-            if contact.lost_bits > 0.0 {
-                let shed = queue.shed_lowest(contact.lost_bits / bits_per_px);
-                if shed.entries_shed > 0 {
-                    *shed_px += shed.shed_bits;
-                    recorder.count(CounterId::QueueEntriesShed, shed.entries_shed as u64);
-                    recorder.event(TelemetryEvent::FaultRecovered {
-                        kind: RecoveryKind::QueueShed,
-                    });
-                }
-            }
-        };
-
+        let mut day = DayReplay::default();
         let mut next_contact = 0usize;
-        let frame_count = self.env.frames_per_day;
-        for i in 0..frame_count {
+        for i in 0..self.env.frames_per_day {
             let t = i as f64 * deadline_s;
             // Serve any contacts that started before this capture.
             while let Some(contact) = contacts.get(next_contact) {
-                let starts = own_passes
+                let starts = passes
                     .get(next_contact)
                     .map_or(f64::INFINITY, |p| p.start.seconds_since_start());
                 if starts <= t {
-                    serve(
-                        contact,
-                        &mut queue,
-                        &mut sent_px,
-                        &mut sent_value_px,
-                        &mut shed_px,
-                        recorder,
-                    );
+                    serve_contact(contact, bits_per_px, &mut queue, &mut day, recorder);
                     next_contact += 1;
                 } else {
                     break;
                 }
             }
-            // Frames beyond the compute budget are skipped (dropped
-            // before reaching the queue): process frame i iff the
-            // cumulative processed count advances at rate phi.
+            // Frames beyond the compute budget are skipped before they
+            // reach the queue: frame i is processed iff the cumulative
+            // processed count advances at rate `processed_fraction`.
             let processed_before = ((i as f64) * processed_fraction).floor();
             let processed_after = ((i as f64 + 1.0) * processed_fraction).floor();
             if processed_after > processed_before {
@@ -611,6 +602,8 @@ impl<'a> Mission<'a> {
                     Some(o) => o,
                     None => continue,
                 };
+                day.tiles_processed += o.tiles_processed as u64;
+                day.tiles_elided += o.tiles_elided as u64;
                 if o.sent_px > 0 {
                     // A corrupt outcome (injected or numeric) must not
                     // take the mission down: drop the entry, count it,
@@ -624,30 +617,95 @@ impl<'a> Mission<'a> {
         }
         // Remaining contacts after the last capture.
         for contact in contacts.iter().skip(next_contact) {
-            serve(
-                contact,
-                &mut queue,
-                &mut sent_px,
-                &mut sent_value_px,
-                &mut shed_px,
-                recorder,
-            );
+            serve_contact(contact, bits_per_px, &mut queue, &mut day, recorder);
         }
-        drop(serve);
+        day.storage_dropped_px = queue.dropped_bits();
+        day.residual_px = queue.occupied_bits();
+        day
+    }
+}
 
-        DetailedMissionReport {
-            sent_px,
-            sent_value_px,
-            storage_dropped_px: queue.dropped_bits(),
-            residual_px: queue.occupied_bits(),
-            transmitted_density: if sent_px > 0.0 {
-                sent_value_px / sent_px
-            } else {
-                0.0
-            },
-            shed_px,
-            contacts_dropped,
-            contacts_shortened,
+/// What [`Mission::replay_day`] reports for one satellite's day, in
+/// pixel units.
+#[derive(Debug, Default)]
+pub(crate) struct DayReplay {
+    /// What each contact drained, in contact order (nothing for a
+    /// dropped contact).
+    pub drains: Vec<DrainReport>,
+    /// Pixels evicted on board because storage filled between contacts.
+    pub storage_dropped_px: f64,
+    /// Pixels still queued at the end of the day.
+    pub residual_px: f64,
+    /// Pixels shed to absorb contact capacity lost to faults.
+    pub shed_px: f64,
+    /// Tiles processed by a model over the captured frames.
+    pub tiles_processed: u64,
+    /// Tiles elided over the captured frames.
+    pub tiles_elided: u64,
+    /// Contacts dropped entirely by faults.
+    pub contacts_dropped: u64,
+    /// Contacts shortened by faults.
+    pub contacts_shortened: u64,
+}
+
+/// Satellite `satellite`'s passes, sorted by start time: the contact
+/// order [`Mission::replay_day`] and the fault plan key on.
+pub(crate) fn own_passes(passes: &[ServedPass], satellite: usize) -> Vec<ServedPass> {
+    let mut own: Vec<ServedPass> = passes
+        .iter()
+        .filter(|p| p.satellite == satellite)
+        .cloned()
+        .collect();
+    own.sort_by(|a, b| {
+        a.start
+            .seconds_since_start()
+            .total_cmp(&b.start.seconds_since_start())
+    });
+    own
+}
+
+/// Serves one contact: drains the queue by what the contact can carry,
+/// records its fault, and sheds the capacity it lost.
+fn serve_contact(
+    contact: &ContactOutcome,
+    bits_per_px: f64,
+    queue: &mut DownlinkQueue,
+    day: &mut DayReplay,
+    recorder: &mut dyn Recorder,
+) {
+    day.drains.push(match &contact.pass {
+        Some(p) => queue.drain(p.bits() / bits_per_px),
+        None => DrainReport::default(),
+    });
+    let fault = contact.fault;
+    if fault.dropped {
+        day.contacts_dropped += 1;
+        recorder.count(CounterId::FaultContactsDropped, 1);
+        recorder.event(TelemetryEvent::FaultInjected {
+            kind: FaultKind::ContactDrop,
+        });
+    } else {
+        if fault.keep_fraction < 1.0 {
+            day.contacts_shortened += 1;
+            recorder.count(CounterId::FaultContactsShortened, 1);
+            recorder.event(TelemetryEvent::FaultInjected {
+                kind: FaultKind::ContactShorten,
+            });
+        }
+        if fault.fade_db > 0.0 {
+            recorder.event(TelemetryEvent::FaultInjected {
+                kind: FaultKind::RainFade,
+            });
+        }
+    }
+    if contact.lost_bits > 0.0 {
+        let shed = queue.shed_lowest(contact.lost_bits / bits_per_px);
+        if shed.entries_shed > 0 {
+            day.shed_px += shed.shed_bits;
+            recorder.count(CounterId::QueueEntriesShed, shed.entries_shed as u64);
+            recorder.event(TelemetryEvent::FaultRecovered {
+                kind: RecoveryKind::QueueShed,
+            });
         }
     }
 }

@@ -150,7 +150,8 @@ impl Transformation {
     /// # Errors
     ///
     /// Returns [`KodanError::NoGrids`] if the configuration lists no
-    /// tile grids to sweep.
+    /// tile grids to sweep, and [`KodanError::DatasetTooSmall`] if the
+    /// dataset has fewer than two frames.
     pub fn run(
         &self,
         dataset: &Dataset,
@@ -169,7 +170,9 @@ impl Transformation {
     /// # Errors
     ///
     /// Returns [`KodanError::NoGrids`] if the configuration lists no
-    /// tile grids to sweep.
+    /// tile grids to sweep, and [`KodanError::DatasetTooSmall`] if the
+    /// dataset cannot be split into non-empty training and validation
+    /// sets.
     pub fn run_recorded(
         &self,
         dataset: &Dataset,
@@ -178,6 +181,9 @@ impl Transformation {
     ) -> Result<TransformationArtifacts, KodanError> {
         let config = &self.config;
         let (train, val) = dataset.split(config.train_fraction, config.seed);
+        if train.is_empty() || val.is_empty() {
+            return Err(KodanError::DatasetTooSmall(dataset.len()));
+        }
 
         // Contexts and engine are generated at the grid closest to the
         // paper's 36-tiles-per-frame working point.

@@ -5,13 +5,20 @@
 //! and executes the selection logic's action: discard, downlink raw, or
 //! run a specialized model and keep the pixels it labels high-value.
 //!
+//! [`Runtime::process_frame`] is the one per-frame path. A frame's
+//! index in capture order keys both its planned placement and its
+//! injected faults; the placement (on-orbit under a throttle, or raw /
+//! deferred to the ground) only selects how the frame's tiles are
+//! handled, while capture, fault and accounting telemetry are shared.
+//! Batches fan out through [`Runtime::frame_outcomes`].
+//!
 //! Execution *time* is modeled (via `kodan-hw`'s Table 1 calibration —
 //! this machine is not a Jetson), but the data path is real: tiles are
 //! actually resized, featurized and classified, and the value accounting
 //! compares predictions against ground truth pixel by pixel.
 //!
 //! Every decision narrates itself through the [`Recorder`] passed to
-//! `process_frames_recorded`. The event/span stream this module emits is
+//! `process_frame`. The event/span stream this module emits is
 //! an observability *contract*: the flight recorder's black-box windows,
 //! the Chrome trace export and the health monitor's counters (all in
 //! `kodan-telemetry`) are built from exactly these calls, and the
@@ -31,13 +38,14 @@ use crate::specialize::SpecializedModel;
 use kodan_cote::time::Duration;
 use kodan_faults::{FaultPlan, FrameFaults};
 use kodan_geodata::frame::FrameImage;
-use kodan_geodata::tile::tile_frame;
+use kodan_geodata::tile::{tile_frame, TileImage};
 use kodan_hw::latency::LatencyModel;
 use kodan_telemetry::{
     ActionKind, CounterId, FaultKind, HistogramId, NullRecorder, PlacementKind, Recorder,
     RecoveryKind, StageId, TelemetryEvent,
 };
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// The telemetry vocabulary's mirror of [`Action`].
 fn action_kind(action: Action) -> ActionKind {
@@ -219,6 +227,11 @@ impl Runtime {
         self.faults.as_ref().map(|f| &f.plan)
     }
 
+    /// The armed fault injection, if its plan injects anything at all.
+    fn armed_faults(&self) -> Option<&FaultInjection> {
+        self.faults.as_ref().filter(|f| f.plan.is_active())
+    }
+
     /// Pins the worker count used by [`Runtime::process_frames`]; `0`
     /// means auto-detect. Worker count only changes wall-clock time —
     /// outcomes and telemetry are bit-identical for any value.
@@ -237,38 +250,90 @@ impl Runtime {
         &self.logic
     }
 
-    /// Processes one frame: tile, classify context, act.
+    /// Processes the frame at `frame_index` in the mission's capture
+    /// order: tile it, classify each tile's context, act. Every decision
+    /// point — tiling, per-tile classification, the elision/process
+    /// action, model invocation, and the frame's pixel accounting — is
+    /// reported to `recorder`; with a [`NullRecorder`] this is the plain
+    /// hot path.
+    ///
+    /// The index is the identity both an installed [`DayPlan`] and an
+    /// armed [`FaultPlan`] key their per-frame decisions on, so the same
+    /// `(plan, seed, frame index)` yields the same frame at any worker
+    /// count. Without either the index is inert. The frame's placement
+    /// picks only how its tiles are handled (`on_orbit_tiles` or
+    /// `raw_tiles`); capture, fault and accounting telemetry are shared
+    /// by every placement.
     ///
     /// # Panics
     ///
     /// Panics if the frame dimension is not divisible by the selected
     /// grid.
-    pub fn process_frame(&self, frame: &FrameImage) -> FrameOutcome {
-        self.process_frame_recorded(frame, &mut NullRecorder)
-    }
-
-    /// [`Runtime::process_frame`] with telemetry: every decision point —
-    /// tiling, per-tile classification, the elision/process action, model
-    /// invocation, and the frame's pixel accounting — is reported to
-    /// `recorder`. With a [`NullRecorder`] this is the plain hot path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame dimension is not divisible by the selected
-    /// grid.
-    pub fn process_frame_recorded(
+    pub fn process_frame(
         &self,
         frame: &FrameImage,
+        frame_index: u64,
         recorder: &mut dyn Recorder,
     ) -> FrameOutcome {
-        self.process_frame_indexed(frame, 0, recorder)
+        let tiles = tile_frame(frame, self.logic.grid());
+        let frame_faults = match self.armed_faults() {
+            Some(f) => f.plan.frame_faults(frame_index),
+            None => FrameFaults::none(),
+        };
+        let placement = self.plan.as_ref().and_then(|p| p.placement(frame_index));
+
+        recorder.event(TelemetryEvent::FrameCaptured {
+            pixels: frame.pixel_count() as u64,
+        });
+        recorder.count(CounterId::FramesProcessed, 1);
+        recorder.count(CounterId::TilesObserved, tiles.len() as u64);
+        // Fault telemetry keys on the injected factor alone: a planner
+        // throttle is a deliberate placement decision, not a fault.
+        if frame_faults.slowdown > 1.0 {
+            recorder.count(CounterId::FaultSlowdownFrames, 1);
+            recorder.event(TelemetryEvent::FaultInjected {
+                kind: FaultKind::Slowdown,
+            });
+        }
+        record_placement(placement, recorder);
+
+        let outcome = match placement {
+            Some(Placement::DownlinkRaw { tiles: chosen, .. })
+            | Some(Placement::Defer { tiles: chosen, .. }) => {
+                self.raw_tiles(&tiles, chosen, frame_faults.slowdown, recorder)
+            }
+            // A factor of 1.0 is bit-exact, so an unthrottled plan — and
+            // no plan at all — changes nothing.
+            Some(Placement::OnOrbit { throttle }) => self.on_orbit_tiles(
+                &tiles,
+                frame_index,
+                &frame_faults,
+                throttle.max(1.0),
+                recorder,
+            ),
+            None => self.on_orbit_tiles(&tiles, frame_index, &frame_faults, 1.0, recorder),
+        };
+
+        recorder.event(TelemetryEvent::PixelsAccounted {
+            sent_px: outcome.sent_px,
+            value_px: outcome.value_px,
+            observed_px: outcome.observed_px,
+        });
+        recorder.count(CounterId::PixelsSent, outcome.sent_px);
+        recorder.count(CounterId::PixelsValue, outcome.value_px);
+        recorder.span(StageId::Accounting, 0.0, outcome.observed_px);
+        recorder.span(StageId::Frame, outcome.compute.as_seconds(), 1);
+        recorder.observe(HistogramId::FrameComputeSeconds, outcome.compute.as_seconds());
+        recorder.observe(HistogramId::FramePrecision, outcome.precision());
+        if outcome.tiles_elided + outcome.tiles_processed > 0 {
+            recorder.observe(HistogramId::FrameElisionFraction, outcome.elision_fraction());
+        }
+        outcome
     }
 
-    /// [`Runtime::process_frame_recorded`] for the frame at `frame_index`
-    /// in the mission's capture order. The index is the fault-site
-    /// identity an armed [`FaultPlan`] keys its per-frame decisions on,
-    /// so the same `(plan seed, frame index)` pair yields the same faults
-    /// at any worker count. Without an armed plan the index is inert.
+    /// The on-orbit tile path: classify every tile and act on it.
+    /// `throttle` is the planner's thermal/energy factor; it composes
+    /// with an injected slowdown as one multiplied stage cost.
     ///
     /// The degradation policy handles each injected fault without
     /// panicking:
@@ -284,88 +349,19 @@ impl Runtime {
     ///   retry-with-backoff in modeled time; a tile that exhausts its
     ///   retry budget degrades to a raw downlink (the bent-pipe action)
     ///   instead of being lost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame dimension is not divisible by the selected
-    /// grid.
-    pub fn process_frame_indexed(
+    fn on_orbit_tiles(
         &self,
-        frame: &FrameImage,
+        tiles: &[TileImage],
         frame_index: u64,
+        frame_faults: &FrameFaults,
+        throttle: f64,
         recorder: &mut dyn Recorder,
     ) -> FrameOutcome {
-        let placement = self
-            .plan
-            .as_ref()
-            .and_then(|p| p.placement(frame_index))
-            .cloned();
-        match &placement {
-            Some(Placement::DownlinkRaw { tiles, .. }) => {
-                return self.process_frame_planned_raw(
-                    frame,
-                    frame_index,
-                    tiles,
-                    PlacementKind::DownlinkRaw,
-                    recorder,
-                );
-            }
-            Some(Placement::Defer { tiles, .. }) => {
-                return self.process_frame_planned_raw(
-                    frame,
-                    frame_index,
-                    tiles,
-                    PlacementKind::Deferred,
-                    recorder,
-                );
-            }
-            _ => {}
-        }
-
-        let tiles = tile_frame(frame, self.logic.grid());
-        let injection = self.faults.as_ref().filter(|f| f.plan.is_active());
-        let frame_faults = match injection {
-            Some(f) => f.plan.frame_faults(frame_index),
-            None => FrameFaults::none(),
-        };
-        // The planner's thermal/energy throttle composes with injected
-        // slowdowns the same way: a multiplied stage cost. Multiplying by
-        // the 1.0 no-fault, no-throttle factor is bit-exact, so the
-        // disarmed, unplanned path stays byte-identical to the pre-fault,
-        // pre-planner runtime.
-        let plan_throttle = match &placement {
-            Some(Placement::OnOrbit { throttle }) => throttle.max(1.0),
-            _ => 1.0,
-        };
-        let slow = frame_faults.slowdown * plan_throttle;
+        let injection = self.armed_faults();
+        let slow = frame_faults.slowdown * throttle;
         let engine_time = self.latency.context_engine_tile_time() * slow;
         let resize_time = self.latency.resize_tile_time() * slow;
         let base_per_tile = engine_time + resize_time;
-
-        recorder.event(TelemetryEvent::FrameCaptured {
-            pixels: frame.pixel_count() as u64,
-        });
-        recorder.count(CounterId::FramesProcessed, 1);
-        recorder.count(CounterId::TilesObserved, tiles.len() as u64);
-
-        // Fault telemetry keys on the injected factor alone: a planner
-        // throttle is a deliberate placement decision, not a fault.
-        if frame_faults.slowdown > 1.0 {
-            recorder.count(CounterId::FaultSlowdownFrames, 1);
-            recorder.event(TelemetryEvent::FaultInjected {
-                kind: FaultKind::Slowdown,
-            });
-        }
-        if let Some(Placement::OnOrbit { throttle }) = &placement {
-            recorder.count(CounterId::FramesPlannedOnOrbit, 1);
-            if *throttle > 1.0 {
-                recorder.count(CounterId::PlannerThermalThrottledFrames, 1);
-            }
-            recorder.event(TelemetryEvent::FramePlanned {
-                placement: PlacementKind::OnOrbit,
-                raw_tiles: 0,
-            });
-        }
 
         // Apply any upset to a cloned victim and checksum-validate it
         // once up front; a detected mismatch retires that model slot to
@@ -412,8 +408,7 @@ impl Runtime {
         let mut outcome = FrameOutcome::default();
         for (i, tile) in tiles.iter().enumerate() {
             let tile_index = i as u32;
-            let px = (tile.size() * tile.size()) as u64;
-            let clear_px = ((1.0 - tile.cloud_fraction()) * px as f64).round() as u64;
+            let (px, clear_px) = tile_pixels(tile);
             outcome.observed_px += px;
             outcome.observed_value_px += clear_px;
             outcome.compute += base_per_tile;
@@ -535,80 +530,31 @@ impl Runtime {
             }
         }
 
-        recorder.event(TelemetryEvent::PixelsAccounted {
-            sent_px: outcome.sent_px,
-            value_px: outcome.value_px,
-            observed_px: outcome.observed_px,
-        });
-        recorder.count(CounterId::PixelsSent, outcome.sent_px);
-        recorder.count(CounterId::PixelsValue, outcome.value_px);
-        recorder.span(StageId::Accounting, 0.0, outcome.observed_px);
-        recorder.span(StageId::Frame, outcome.compute.as_seconds(), 1);
-        recorder.observe(HistogramId::FrameComputeSeconds, outcome.compute.as_seconds());
-        recorder.observe(HistogramId::FramePrecision, outcome.precision());
-        if outcome.tiles_elided + outcome.tiles_processed > 0 {
-            recorder.observe(HistogramId::FrameElisionFraction, outcome.elision_fraction());
-        }
         outcome
     }
 
-    /// The planned raw-downlink path: the installed [`DayPlan`] routed
-    /// this frame to ground inference (immediately or deferred to a
-    /// later contact), so no model runs on board. The context engine
+    /// The planned raw-downlink tile path: the installed [`DayPlan`]
+    /// routed this frame to ground inference (immediately or deferred to
+    /// a later contact), so no model runs on board. The context engine
     /// still scans every tile — that is the energy the planner budgeted
-    /// for the frame — then the plan's chosen tiles ship raw and the
-    /// rest are dropped on board. `chosen` is sorted ascending (the
-    /// planner canonicalizes it), so membership is a binary search and
-    /// nothing here indexes or panics.
-    fn process_frame_planned_raw(
+    /// for the frame — then the plan's `chosen` tiles ship raw and the
+    /// rest are dropped on board. Injected slowdowns still stretch the
+    /// scan; upsets and classify transients have nothing to corrupt on a
+    /// frame that runs no model and no classifier. `chosen` is sorted
+    /// ascending (the planner canonicalizes it), so membership is a
+    /// binary search and nothing here indexes or panics.
+    fn raw_tiles(
         &self,
-        frame: &FrameImage,
-        frame_index: u64,
+        tiles: &[TileImage],
         chosen: &[u32],
-        kind: PlacementKind,
+        slowdown: f64,
         recorder: &mut dyn Recorder,
     ) -> FrameOutcome {
-        let tiles = tile_frame(frame, self.logic.grid());
-        let injection = self.faults.as_ref().filter(|f| f.plan.is_active());
-        let frame_faults = match injection {
-            Some(f) => f.plan.frame_faults(frame_index),
-            None => FrameFaults::none(),
-        };
-        // Injected slowdowns still stretch the scan; upsets and classify
-        // transients have nothing to corrupt on a frame that runs no
-        // model and no classifier.
-        let slow = frame_faults.slowdown;
-        let engine_time = self.latency.context_engine_tile_time() * slow;
-
-        recorder.event(TelemetryEvent::FrameCaptured {
-            pixels: frame.pixel_count() as u64,
-        });
-        recorder.count(CounterId::FramesProcessed, 1);
-        recorder.count(CounterId::TilesObserved, tiles.len() as u64);
-        if frame_faults.slowdown > 1.0 {
-            recorder.count(CounterId::FaultSlowdownFrames, 1);
-            recorder.event(TelemetryEvent::FaultInjected {
-                kind: FaultKind::Slowdown,
-            });
-        }
-        match kind {
-            PlacementKind::Deferred => {
-                recorder.count(CounterId::FramesPlannedDeferred, 1);
-            }
-            _ => {
-                recorder.count(CounterId::FramesPlannedDownlinkRaw, 1);
-            }
-        }
-        recorder.event(TelemetryEvent::FramePlanned {
-            placement: kind,
-            raw_tiles: chosen.len() as u32,
-        });
-
+        let engine_time = self.latency.context_engine_tile_time() * slowdown;
         let mut outcome = FrameOutcome::default();
         for (i, tile) in tiles.iter().enumerate() {
             let tile_index = i as u32;
-            let px = (tile.size() * tile.size()) as u64;
-            let clear_px = ((1.0 - tile.cloud_fraction()) * px as f64).round() as u64;
+            let (px, clear_px) = tile_pixels(tile);
             outcome.observed_px += px;
             outcome.observed_value_px += clear_px;
             outcome.compute += engine_time;
@@ -633,21 +579,6 @@ impl Runtime {
             }
             recorder.span(StageId::Elision, 0.0, 1);
         }
-
-        recorder.event(TelemetryEvent::PixelsAccounted {
-            sent_px: outcome.sent_px,
-            value_px: outcome.value_px,
-            observed_px: outcome.observed_px,
-        });
-        recorder.count(CounterId::PixelsSent, outcome.sent_px);
-        recorder.count(CounterId::PixelsValue, outcome.value_px);
-        recorder.span(StageId::Accounting, 0.0, outcome.observed_px);
-        recorder.span(StageId::Frame, outcome.compute.as_seconds(), 1);
-        recorder.observe(HistogramId::FrameComputeSeconds, outcome.compute.as_seconds());
-        recorder.observe(HistogramId::FramePrecision, outcome.precision());
-        if outcome.tiles_elided + outcome.tiles_processed > 0 {
-            recorder.observe(HistogramId::FrameElisionFraction, outcome.elision_fraction());
-        }
         outcome
     }
 
@@ -660,14 +591,9 @@ impl Runtime {
         self.process_frames_recorded(frames, &mut NullRecorder)
     }
 
-    /// [`Runtime::process_frames`] with telemetry (see
-    /// [`Runtime::process_frame_recorded`]).
-    ///
-    /// Frames are fanned out across [`Runtime::workers`] threads; the
-    /// per-frame outcomes come back in frame-index order and are folded
-    /// serially, and per-worker telemetry tapes are replayed in the same
-    /// order, so the aggregate and the recorder's snapshot are
-    /// bit-identical to a serial run.
+    /// [`Runtime::process_frames`] with telemetry: the per-frame
+    /// outcomes of [`Runtime::frame_outcomes`], folded serially in frame
+    /// order, so the aggregate is bit-identical to a serial run.
     pub fn process_frames_recorded<'a, I>(
         &self,
         frames: I,
@@ -677,9 +603,7 @@ impl Runtime {
         I: IntoIterator<Item = &'a FrameImage>,
     {
         let frames: Vec<&FrameImage> = frames.into_iter().collect();
-        let outcomes = par::par_map_recorded(self.workers, &frames, recorder, |i, frame, rec| {
-            self.process_frame_indexed(frame, i as u64, rec)
-        });
+        let outcomes = self.frame_outcomes(&frames, recorder);
         let mut total = FrameOutcome::default();
         for o in &outcomes {
             total.absorb(o);
@@ -692,14 +616,55 @@ impl Runtime {
         (total, mean)
     }
 
-    /// Processes frames in parallel and returns each frame's individual
-    /// outcome, in frame order (used by detailed mission replay, which
-    /// needs per-frame results rather than the aggregate).
-    pub fn frame_outcomes(&self, frames: &[FrameImage]) -> Vec<FrameOutcome> {
-        par::par_map_indexed(self.workers, frames, |i, frame| {
-            self.process_frame_indexed(frame, i as u64, &mut NullRecorder)
+    /// Processes each frame at its index with [`Runtime::process_frame`]
+    /// and returns the outcomes in frame order.
+    ///
+    /// Frames are fanned out across [`Runtime::workers`] threads;
+    /// per-worker telemetry tapes are replayed in frame order, so the
+    /// recorder's snapshot is bit-identical to a serial run.
+    pub fn frame_outcomes<F>(&self, frames: &[F], recorder: &mut dyn Recorder) -> Vec<FrameOutcome>
+    where
+        F: Borrow<FrameImage> + Sync,
+    {
+        par::par_map_recorded(self.workers, frames, recorder, |i, frame, rec| {
+            self.process_frame(frame.borrow(), i as u64, rec)
         })
     }
+}
+
+/// Reports a frame's planned placement; an unplanned frame reports
+/// nothing, so plan-off telemetry carries no planner vocabulary.
+fn record_placement(placement: Option<&Placement>, recorder: &mut dyn Recorder) {
+    let (placement, raw_tiles) = match placement {
+        None => return,
+        Some(Placement::OnOrbit { throttle }) => {
+            recorder.count(CounterId::FramesPlannedOnOrbit, 1);
+            if *throttle > 1.0 {
+                recorder.count(CounterId::PlannerThermalThrottledFrames, 1);
+            }
+            (PlacementKind::OnOrbit, 0)
+        }
+        Some(Placement::DownlinkRaw { tiles, .. }) => {
+            recorder.count(CounterId::FramesPlannedDownlinkRaw, 1);
+            (PlacementKind::DownlinkRaw, tiles.len() as u32)
+        }
+        Some(Placement::Defer { tiles, .. }) => {
+            recorder.count(CounterId::FramesPlannedDeferred, 1);
+            (PlacementKind::Deferred, tiles.len() as u32)
+        }
+    };
+    recorder.event(TelemetryEvent::FramePlanned {
+        placement,
+        raw_tiles,
+    });
+}
+
+/// A tile's pixel count and its clear (high-value) pixels, the unit of
+/// every per-tile value account.
+pub(crate) fn tile_pixels(tile: &TileImage) -> (u64, u64) {
+    let px = (tile.size() * tile.size()) as u64;
+    let clear_px = ((1.0 - tile.cloud_fraction()) * px as f64).round() as u64;
+    (px, clear_px)
 }
 
 /// The bent-pipe "runtime": downlink everything, compute nothing.
@@ -765,8 +730,8 @@ mod tests {
     #[test]
     fn frame_outcome_accounting_is_conservative() {
         let (runtime, frames) = runtime_and_frames();
-        for frame in &frames {
-            let o = runtime.process_frame(frame);
+        for (i, frame) in frames.iter().enumerate() {
+            let o = runtime.process_frame(frame, i as u64, &mut NullRecorder);
             assert!(o.sent_px <= o.observed_px);
             assert!(o.value_px <= o.sent_px);
             assert!(o.observed_value_px <= o.observed_px);
@@ -818,9 +783,9 @@ mod tests {
     fn recorded_path_matches_plain_path() {
         let (runtime, frames) = runtime_and_frames();
         let mut recorder = kodan_telemetry::SummaryRecorder::new();
-        for frame in &frames {
-            let plain = runtime.process_frame(frame);
-            let recorded = runtime.process_frame_recorded(frame, &mut recorder);
+        for (i, frame) in frames.iter().enumerate() {
+            let plain = runtime.process_frame(frame, i as u64, &mut NullRecorder);
+            let recorded = runtime.process_frame(frame, i as u64, &mut recorder);
             assert_eq!(plain, recorded);
         }
         let snap = recorder.snapshot();
@@ -928,7 +893,7 @@ mod tests {
         let (runtime, frames) = runtime_and_frames();
         let serial = runtime.clone().with_workers(1);
         let (base_total, base_mean) = serial.process_frames(frames.iter());
-        let base_outcomes = serial.frame_outcomes(&frames);
+        let base_outcomes = serial.frame_outcomes(&frames, &mut NullRecorder);
         for workers in [2, 3, 4] {
             let parallel = runtime.clone().with_workers(workers);
             assert_eq!(parallel.workers(), workers);
@@ -937,7 +902,7 @@ mod tests {
             // reproduce the serial f64 accumulation exactly.
             assert_eq!(base_total, total, "workers={workers}");
             assert_eq!(base_mean, mean, "workers={workers}");
-            assert_eq!(base_outcomes, parallel.frame_outcomes(&frames));
+            assert_eq!(base_outcomes, parallel.frame_outcomes(&frames, &mut NullRecorder));
         }
     }
 

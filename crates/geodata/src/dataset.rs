@@ -148,17 +148,12 @@ impl Dataset {
     /// Splits frames into train and validation subsets.
     ///
     /// Splitting at frame granularity avoids leaking pixels of one frame
-    /// into both sides (tiles of a frame share cloud systems).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < train_fraction < 1`, or if either side would be
-    /// empty.
+    /// into both sides (tiles of a frame share cloud systems). Each side
+    /// keeps at least one frame when the dataset has two or more, whatever
+    /// `train_fraction` says (NaN counts as 0); a single frame goes to
+    /// training and leaves validation empty, and an empty dataset splits
+    /// into two empty ones.
     pub fn split(&self, train_fraction: f64, seed: u64) -> (Dataset, Dataset) {
-        assert!(
-            train_fraction > 0.0 && train_fraction < 1.0,
-            "train fraction must be in (0, 1)"
-        );
         let mut indices: Vec<usize> = (0..self.frames.len()).collect();
         let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0x5917);
         // Fisher-Yates shuffle.
@@ -166,9 +161,10 @@ impl Dataset {
             let j = rng.random_range(0..=i);
             indices.swap(i, j);
         }
-        let n_train = ((self.frames.len() as f64) * train_fraction).round() as usize;
-        let n_train = n_train.clamp(1, self.frames.len() - 1);
-        let (train_idx, val_idx) = indices.split_at(n_train.min(indices.len()));
+        let n = indices.len();
+        let n_train = ((n as f64) * train_fraction).round() as usize;
+        let n_train = n_train.min(n.saturating_sub(1)).max(1).min(n);
+        let (train_idx, val_idx) = indices.split_at(n_train);
         let train = train_idx
             .iter()
             .filter_map(|&i| self.frames.get(i).cloned())
@@ -305,8 +301,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "train fraction")]
-    fn rejects_degenerate_split() {
-        let _ = small_dataset().split(1.0, 0);
+    fn degenerate_splits_are_total() {
+        let ds = small_dataset();
+        let sizes = |d: &Dataset, fraction: f64| {
+            let (train, val) = d.split(fraction, 0);
+            (train.len(), val.len())
+        };
+        // Out-of-range fractions still leave a frame on each side.
+        assert_eq!(sizes(&ds, 1.0), (11, 1));
+        assert_eq!(sizes(&ds, 0.0), (1, 11));
+        assert_eq!(sizes(&ds, f64::NAN), (1, 11));
+        // Too few frames to split: nothing panics, a side stays empty.
+        let one = Dataset {
+            frames: ds.frames().iter().take(1).cloned().collect(),
+        };
+        assert_eq!(sizes(&one, 0.7), (1, 0));
+        let none = Dataset { frames: Vec::new() };
+        assert_eq!(sizes(&none, 0.7), (0, 0));
     }
 }

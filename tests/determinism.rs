@@ -841,3 +841,185 @@ fn black_box_reports_are_byte_identical_at_any_worker_count() {
         assert_eq!(wire_1, wire_n, "{workers}-worker sealed black-box diverged");
     }
 }
+
+/// Cross-commit golden pins: `fnv1a64` digests of a report's `Debug`
+/// text and of the run's telemetry snapshot JSON. The worker-count tests
+/// above compare runs within one build; these catch a refactor that
+/// changes any output byte, at any worker count, against the recorded
+/// values. A deliberate behaviour change re-records them and says so.
+fn assert_golden(case: &str, report_debug: &str, snapshot_json: &str, expected: (u64, u64)) {
+    let actual = (
+        kodan_wire::digest::fnv1a64(report_debug.as_bytes()),
+        kodan_wire::digest::fnv1a64(snapshot_json.as_bytes()),
+    );
+    assert_eq!(
+        actual, expected,
+        "{case}: golden digests moved to ({:#018x}, {:#018x})",
+        actual.0, actual.1
+    );
+}
+
+#[test]
+fn golden_planned_mission_is_pinned() {
+    use kodan::{ExecutionPlanner, PlanConfig};
+
+    let artifacts = common::test_artifacts();
+    let env = SpaceEnvironment::fixed(0.21);
+    let world = World::new(42);
+    let params = MissionParams {
+        sample_frames: 6,
+        frame_px: 132,
+        frame_km: 150.0,
+        sample_window_days: 1.0,
+    };
+    let logic = artifacts.select_with_capacity(
+        HwTarget::OrinAgx15W,
+        env.frame_deadline,
+        env.capacity_fraction,
+    );
+    let runtime = Runtime::new(logic, artifacts.engine.clone());
+    let mut config = PlanConfig::default_plan();
+    config.contacts = 2;
+    let planner = ExecutionPlanner::new(
+        config,
+        HwTarget::OrinAgx15W,
+        env.frame_deadline,
+        env.capacity_fraction,
+    );
+    let mut recorder = SummaryRecorder::new();
+    let planned =
+        Mission::new(&env, &world, params).run_planned_recorded(&runtime, &planner, &mut recorder);
+    let ledger = &planned.ledger;
+    assert!(
+        ledger.frames_on_orbit > 0 && ledger.frames_downlink_raw > 0 && ledger.frames_deferred > 0,
+        "the pinned plan must exercise every placement: {ledger:?}"
+    );
+    assert_golden(
+        "planned mission",
+        &format!("{planned:?}"),
+        &recorder.snapshot().to_json(),
+        (0x1a9d086e1969ac8e, 0x078f36c71183d1c8),
+    );
+}
+
+#[test]
+fn golden_faulted_detailed_mission_is_pinned() {
+    use kodan_cote::sim::ServedPass;
+    use kodan_cote::time::{Duration, Epoch};
+    use kodan_faults::{FaultConfig, FaultPlan};
+
+    let artifacts = common::test_artifacts();
+    let env = SpaceEnvironment::fixed(0.21);
+    let world = World::new(42);
+    let params = MissionParams {
+        sample_frames: 6,
+        frame_px: 132,
+        frame_km: 150.0,
+        sample_window_days: 1.0,
+    };
+    let passes: Vec<ServedPass> = (0..12)
+        .map(|i| {
+            let start = Epoch::mission_start() + Duration::from_minutes(90.0 * i as f64);
+            ServedPass {
+                satellite: 0,
+                station: 0,
+                start,
+                end: start + Duration::from_minutes(8.0),
+                rate_bps: 3.0e8,
+            }
+        })
+        .collect();
+    let mut config = FaultConfig::nominal(99);
+    config.seu_rate = 0.5;
+    config.slowdown_rate = 0.5;
+    config.contact_drop_rate = 0.3;
+    config.contact_shorten_rate = 0.5;
+    let plan = FaultPlan::new(config).expect("fault config is valid");
+    let logic = artifacts.select_with_capacity(
+        HwTarget::OrinAgx15W,
+        env.frame_deadline,
+        env.capacity_fraction,
+    );
+    let fallback = artifacts
+        .grid_artifacts(logic.grid())
+        .expect("selected grid exists")
+        .global_model
+        .clone();
+    let runtime =
+        Runtime::new(logic, artifacts.engine.clone()).with_fault_plan(plan.clone(), fallback);
+    let mut recorder = SummaryRecorder::new();
+    let detailed = Mission::new(&env, &world, params).run_detailed_faulted(
+        &runtime,
+        &passes,
+        4.0e4,
+        100.0,
+        Some(&plan),
+        &mut recorder,
+    );
+    assert!(
+        detailed.contacts_dropped > 0 && detailed.contacts_shortened > 0,
+        "the pinned plan must degrade contacts: {detailed:?}"
+    );
+    assert_golden(
+        "faulted detailed mission",
+        &format!("{detailed:?}"),
+        &recorder.snapshot().to_json(),
+        (0x921be58f44947b99, 0x3077c2bd6e493338),
+    );
+}
+
+#[test]
+fn golden_fleet_days_are_pinned() {
+    use kodan::fleet::{Fleet, FleetConfig};
+    use kodan::PlanConfig;
+    use kodan_wire::ArtifactStore;
+    use std::path::Path;
+
+    let artifacts = common::test_artifacts();
+    let env = SpaceEnvironment::fixed(0.21);
+    let world = World::new(42);
+    let params = MissionParams {
+        sample_frames: 4,
+        frame_px: 132,
+        frame_km: 150.0,
+        sample_window_days: 2.0,
+    };
+    let logic = artifacts.select_with_capacity(
+        HwTarget::OrinAgx15W,
+        env.frame_deadline,
+        env.capacity_fraction,
+    );
+    let runtime = Runtime::new(logic, artifacts.engine.clone());
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden_fleet");
+    std::fs::remove_dir_all(&root).ok();
+    let fly = |plan: Option<PlanConfig>, tag: &str| {
+        let config = FleetConfig {
+            satellites: 2,
+            memtable_budget: 2 * kodan::fleet::combine::JournalRecord::ENCODED_BYTES,
+            workers: 0,
+            storage_px: 4.0e8,
+            plan,
+        };
+        let store = ArtifactStore::create(&root.join(tag)).expect("create spill store");
+        let mut recorder = SummaryRecorder::new();
+        let report = Fleet::new(&world, &runtime, params, config)
+            .run_recorded(&store, &mut recorder)
+            .expect("fleet run succeeds");
+        (format!("{report:?}"), recorder.snapshot().to_json())
+    };
+    let (report, json) = fly(None, "plain");
+    assert_golden(
+        "unplanned fleet",
+        &report,
+        &json,
+        (0xcc2c4e74d600d31b, 0x0b5bb3e6c272de37),
+    );
+    let (report, json) = fly(Some(PlanConfig::default_plan()), "planned");
+    assert_golden(
+        "planned fleet",
+        &report,
+        &json,
+        (0x194ddc7d10ae11a6, 0xd6a82766948b8266),
+    );
+    std::fs::remove_dir_all(&root).ok();
+}

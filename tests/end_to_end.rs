@@ -541,3 +541,85 @@ fn artifacts_inspect_reports_store_health() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn fleet_keys_frame_faults_on_the_frame_index() {
+    // A fault-armed runtime handed to a fleet must see each sampled frame
+    // under that frame's own faults. Flying one satellite's frames through
+    // the fleet and flying the same frames by index must report the same
+    // fault counters — keying every frame on index 0 would replay frame
+    // 0's faults across the whole day.
+    use kodan::fleet::{Fleet, FleetConfig};
+    use kodan_faults::FaultConfig;
+    use kodan_telemetry::{CounterId, SummaryRecorder};
+    use kodan_wire::ArtifactStore;
+
+    let mut config = FaultConfig::nominal(5);
+    config.seu_rate = 0.5;
+    config.slowdown_rate = 0.5;
+    config.classify_fault_rate = 0.2;
+    let runtime = faulted_runtime(config).with_workers(1);
+    let world = test_world();
+    let params = mission_params();
+
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("fleet_fault_keying");
+    std::fs::remove_dir_all(&dir).ok();
+    let store = ArtifactStore::create(&dir).expect("create spill store");
+    let fleet_config = FleetConfig {
+        satellites: 1,
+        workers: 1,
+        ..FleetConfig::default_fleet()
+    };
+    let mut fleet_rec = SummaryRecorder::new();
+    Fleet::new(&world, &runtime, params, fleet_config)
+        .run_recorded(&store, &mut fleet_rec)
+        .expect("fleet run succeeds");
+    std::fs::remove_dir_all(&dir).ok();
+
+    // A lone satellite flies the unphased base orbit, which is exactly
+    // the orbit of the fixed environment, so it samples the same frames.
+    let env = SpaceEnvironment::fixed(0.21);
+    let frames = Mission::new(&env, &world, params).sample_frames();
+    let mut indexed_rec = SummaryRecorder::new();
+    runtime.process_frames_recorded(frames.iter(), &mut indexed_rec);
+
+    let fleet = fleet_rec.snapshot();
+    let indexed = indexed_rec.snapshot();
+    let counters = [
+        CounterId::FaultSeuInjected,
+        CounterId::FaultSlowdownFrames,
+        CounterId::FaultClassifyRetries,
+        CounterId::FaultClassifyExhausted,
+        CounterId::ModelFallbacks,
+    ];
+    assert!(
+        counters.iter().any(|&c| indexed.counter(c) > 0),
+        "the fault plan must fire over the sampled frames"
+    );
+    for counter in counters {
+        assert_eq!(
+            fleet.counter(counter),
+            indexed.counter(counter),
+            "{counter:?}: fleet vs frames flown by index"
+        );
+    }
+}
+
+#[test]
+fn a_dataset_too_small_to_split_is_a_typed_error() {
+    // One frame cannot feed both training and validation: the
+    // transformation must say so instead of panicking in the split.
+    use kodan::pipeline::Transformation;
+    use kodan::{KodanConfig, KodanError};
+    use kodan_geodata::{Dataset, DatasetConfig};
+    use kodan_ml::ModelArch;
+
+    let mut cfg = DatasetConfig::small(1);
+    cfg.frame_count = 1;
+    cfg.frame_px = 132;
+    let dataset = Dataset::sample(&test_world(), &cfg);
+    assert_eq!(dataset.len(), 1);
+    let result =
+        Transformation::new(KodanConfig::fast(7)).run(&dataset, ModelArch::ResNet50DilatedPpm);
+    assert_eq!(result.err(), Some(KodanError::DatasetTooSmall(1)));
+}
