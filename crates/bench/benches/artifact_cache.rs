@@ -9,29 +9,20 @@
 //! writes `BENCH_artifact_cache.json` at the repo root with the speedup
 //! and the encoded sizes against the modeled uplink budget.
 
-use criterion::Criterion;
 use kodan::artifact::{load_artifacts, save_artifacts};
 use kodan::mission::SpaceEnvironment;
 use kodan::pipeline::Transformation;
+use kodan_bench::harness::{time, write_baseline, Protocol};
 use kodan_bench::{banner, bench_dataset_config, bench_kodan_config, bench_world};
 use kodan_geodata::Dataset;
 use kodan_hw::targets::HwTarget;
 use kodan_ml::zoo::ModelArch;
 use kodan_telemetry::NullRecorder;
 use kodan_wire::UPLINK_BUDGET_BYTES;
-use std::hint::black_box;
 use std::path::PathBuf;
-use std::time::Instant;
 
-/// Mean wall-clock seconds per call over `reps` runs (1 warmup call).
-fn time_calls<F: FnMut() -> R, R>(reps: u32, mut body: F) -> f64 {
-    black_box(body());
-    let start = Instant::now();
-    for _ in 0..reps {
-        black_box(body());
-    }
-    start.elapsed().as_secs_f64() / f64::from(reps)
-}
+/// Both starts are timed as single calls: a cold start is seconds.
+const PROTOCOL: Protocol = Protocol::timed(5, 1);
 
 fn main() {
     banner(
@@ -54,7 +45,10 @@ fn main() {
         );
         (artifacts, logic)
     };
-    let (artifacts, logic) = cold();
+    // The last timed cold start is the deployment every check below uses.
+    let mut built = None;
+    let cold_t = time(PROTOCOL, || built = Some(cold()));
+    let (artifacts, logic) = built.expect("timed at least once");
 
     let dir: PathBuf = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("bench_artifact_cache");
     std::fs::remove_dir_all(&dir).ok();
@@ -68,17 +62,10 @@ fn main() {
     assert_eq!(loaded.artifacts, artifacts, "loaded artifacts diverged");
     assert_eq!(loaded.selection, logic, "loaded selection diverged");
 
-    let mut criterion = Criterion::default();
-    criterion.bench_function("warm_artifact_load", |b| {
-        b.iter(|| load_artifacts(black_box(&dir), &mut NullRecorder).expect("load succeeds"))
-    });
-
-    const COLD_REPS: u32 = 3;
-    const WARM_REPS: u32 = 20;
-    let cold_s = time_calls(COLD_REPS, &cold);
-    let warm_s = time_calls(WARM_REPS, || {
+    let warm_t = time(PROTOCOL, || {
         load_artifacts(&dir, &mut NullRecorder).expect("load succeeds")
     });
+    let (cold_s, warm_s) = (cold_t.median, warm_t.median);
     let speedup = if warm_s > 0.0 { cold_s / warm_s } else { 0.0 };
 
     let total_bytes = report.total_bytes;
@@ -91,12 +78,23 @@ fn main() {
         .sum();
     let budget_fraction = total_bytes as f64 / UPLINK_BUDGET_BYTES as f64;
 
-    let json = format!(
-        "{{\n  \"bench\": \"artifact_cache\",\n  \"unit\": \"seconds_per_start\",\n  \"cold_reps\": {COLD_REPS},\n  \"warm_reps\": {WARM_REPS},\n  \"cold_start_s\": {cold_s:.6},\n  \"warm_start_s\": {warm_s:.6},\n  \"warm_speedup\": {speedup:.1},\n  \"artifact_count\": {count},\n  \"total_bytes\": {total_bytes},\n  \"model_bytes\": {model_bytes},\n  \"uplink_budget_bytes\": {UPLINK_BUDGET_BYTES},\n  \"budget_fraction\": {budget_fraction:.6},\n  \"loaded_equals_in_memory\": true,\n  \"note\": \"cold = transformation + selection on the bench dataset; warm = kodan-wire artifact load verified equal to the in-memory set; the warm path is what an on-orbit reboot pays\"\n}}\n",
-        count = report.manifest.entries.len(),
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_artifact_cache.json");
-    std::fs::write(out, &json).expect("write BENCH_artifact_cache.json");
+    let count = report.manifest.entries.len();
+    write_baseline("artifact_cache", "seconds_per_start", PROTOCOL, |w| {
+        cold_t.write(w, "cold_start_s");
+        warm_t.write(w, "warm_start_s");
+        w.float(Some("warm_speedup"), speedup);
+        w.uint(Some("artifact_count"), count as u64);
+        w.uint(Some("total_bytes"), total_bytes);
+        w.uint(Some("model_bytes"), model_bytes);
+        w.uint(Some("uplink_budget_bytes"), UPLINK_BUDGET_BYTES);
+        w.float(Some("budget_fraction"), budget_fraction);
+        w.bool(Some("loaded_equals_in_memory"), true);
+        w.string(
+            Some("note"),
+            "cold = transformation + selection on the bench dataset; warm = kodan-wire artifact \
+             load verified equal to the in-memory set; the warm path is what an on-orbit reboot pays",
+        );
+    });
 
     println!();
     println!(
@@ -104,11 +102,9 @@ fn main() {
         cold_s, warm_s
     );
     println!(
-        "uplink: {total_bytes} bytes across {} artifacts ({:.2}% of the {UPLINK_BUDGET_BYTES}-byte budget)",
-        report.manifest.entries.len(),
+        "uplink: {total_bytes} bytes across {count} artifacts ({:.2}% of the {UPLINK_BUDGET_BYTES}-byte budget)",
         budget_fraction * 100.0,
     );
-    println!("baseline written to BENCH_artifact_cache.json");
     assert!(
         speedup > 1.0,
         "warm start {speedup:.2}x must beat the cold transformation"

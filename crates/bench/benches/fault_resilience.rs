@@ -15,6 +15,7 @@
 
 use kodan::mission::{Mission, SpaceEnvironment, SystemKind};
 use kodan::runtime::Runtime;
+use kodan_bench::harness::{write_baseline, Protocol};
 use kodan_bench::{banner, bench_artifacts, bench_mission_params, bench_world, f, row, s};
 use kodan_cote::sim::ServedPass;
 use kodan_cote::time::{Duration, Epoch};
@@ -180,32 +181,37 @@ fn main() {
         );
     }
 
-    let rows: Vec<String> = arms
-        .iter()
-        .map(|a| {
-            format!(
-                "    {{ \"intensity\": {:.2}, \"dvd\": {:.4}, \"sent_px\": {:.1}, \"shed_px\": {:.1}, \"contacts_dropped\": {}, \"seu_injected\": {}, \"model_fallbacks\": {}, \"classify_exhausted\": {}, \"slowdown_frames\": {} }}",
-                a.intensity,
-                a.dvd,
-                a.sent_px,
-                a.shed_px,
-                a.contacts_dropped,
-                a.seu_injected,
-                a.model_fallbacks,
-                a.classify_exhausted,
-                a.slowdown_frames,
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"fault_resilience\",\n  \"fault_seed\": {FAULT_SEED},\n  \"app\": \"app4_resnet50_dilated_ppm\",\n  \"target\": \"orin_agx_15w\",\n  \"clean_dvd\": {:.4},\n  \"hostile_dvd\": {:.4},\n  \"dvd_retained_fraction\": {:.4},\n  \"outputs_byte_identical_across_workers\": {outputs_identical},\n  \"sweep\": [\n{}\n  ],\n  \"note\": \"DVD of the same mission day as FaultConfig::scaled intensity rises from clean to the nominal hostile regime, with checksum fallback, bounded retries and value-aware shedding armed\"\n}}\n",
-        clean.dvd,
-        hostile.dvd,
-        if clean.dvd > 0.0 { hostile.dvd / clean.dvd } else { 0.0 },
-        rows.join(",\n"),
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fault_resilience.json");
-    std::fs::write(out, &json).expect("write BENCH_fault_resilience.json");
+    write_baseline("fault_resilience", "data_value_density", Protocol::UNTIMED, |w| {
+        w.uint(Some("fault_seed"), FAULT_SEED);
+        w.string(Some("app"), "app4_resnet50_dilated_ppm");
+        w.string(Some("target"), "orin_agx_15w");
+        w.float(Some("clean_dvd"), clean.dvd);
+        w.float(Some("hostile_dvd"), hostile.dvd);
+        let retained = if clean.dvd > 0.0 { hostile.dvd / clean.dvd } else { 0.0 };
+        w.float(Some("dvd_retained_fraction"), retained);
+        w.bool(Some("outputs_byte_identical_across_workers"), outputs_identical);
+        w.open_array(Some("sweep"));
+        for a in &arms {
+            w.open_object(None);
+            w.float(Some("intensity"), a.intensity);
+            w.float(Some("dvd"), a.dvd);
+            w.float(Some("sent_px"), a.sent_px);
+            w.float(Some("shed_px"), a.shed_px);
+            w.uint(Some("contacts_dropped"), a.contacts_dropped);
+            w.uint(Some("seu_injected"), a.seu_injected);
+            w.uint(Some("model_fallbacks"), a.model_fallbacks);
+            w.uint(Some("classify_exhausted"), a.classify_exhausted);
+            w.uint(Some("slowdown_frames"), a.slowdown_frames);
+            w.close_object();
+        }
+        w.close_array();
+        w.string(
+            Some("note"),
+            "DVD of the same mission day as FaultConfig::scaled intensity rises from clean to the \
+             nominal hostile regime, with checksum fallback, bounded retries and value-aware \
+             shedding armed",
+        );
+    });
     println!();
     println!(
         "clean dvd {:.3} -> hostile dvd {:.3} ({} upsets, {} fallbacks, {} exhausted tiles, {} slow frames)",
@@ -216,7 +222,6 @@ fn main() {
         hostile.classify_exhausted,
         hostile.slowdown_frames,
     );
-    println!("baseline written to BENCH_fault_resilience.json");
     assert!(
         hostile.dvd > 0.0,
         "degradation policies must keep the mission producing value under nominal faults"

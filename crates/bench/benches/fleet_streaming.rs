@@ -22,7 +22,6 @@
 //! config): the subject is the streaming combine and queue replay, not
 //! inference throughput — the inference benches own that axis.
 
-use criterion::Criterion;
 use kodan::fleet::combine::JournalRecord;
 use kodan::fleet::{Fleet, FleetConfig};
 use kodan::mission::{MissionParams, SpaceEnvironment};
@@ -30,18 +29,19 @@ use kodan::pipeline::Transformation;
 use kodan::queue::{DownlinkQueue, QueueEntry};
 use kodan::runtime::Runtime;
 use kodan::KodanConfig;
+use kodan_bench::harness::{time, write_baseline, Protocol};
 use kodan_bench::{banner, f, n, row, s, BENCH_SEED};
 use kodan_geodata::{Dataset, DatasetConfig, World};
 use kodan_hw::targets::HwTarget;
 use kodan_ml::zoo::ModelArch;
 use kodan_telemetry::SummaryRecorder;
 use kodan_wire::ArtifactStore;
-use std::hint::black_box;
 use std::path::PathBuf;
-use std::time::Instant;
 
-/// Wall-clock reps per fleet lane (a fleet day is the expensive unit).
-const REPS: u32 = 3;
+/// Five single-call samples per lane: a 24-satellite fleet day is the
+/// expensive unit (~4 s), and the median of five rides out a stalled
+/// sample of the ~2 ms queue lane.
+const PROTOCOL: Protocol = Protocol::timed(5, 1);
 
 /// Memtable budget for every fleet lane: 4 journal records — a 6-sat
 /// day already ingests several times this, so every lane spills.
@@ -78,16 +78,6 @@ fn fleet_params() -> MissionParams {
         frame_km: 150.0,
         sample_window_days: 2.0,
     }
-}
-
-/// Mean wall-clock seconds per call over `reps` runs (1 warmup call).
-fn time_runs<F: FnMut() -> R, R>(reps: u32, mut body: F) -> f64 {
-    black_box(body());
-    let start = Instant::now();
-    for _ in 0..reps {
-        black_box(body());
-    }
-    start.elapsed().as_secs_f64() / f64::from(reps)
 }
 
 /// The pre-fix `DownlinkQueue::push`, reproduced for the before/after:
@@ -158,7 +148,6 @@ fn main() {
             satellites,
             memtable_budget: BUDGET,
             workers,
-            storage_px: 4.0e8,
             plan: None,
         };
         let mut recorder = SummaryRecorder::new();
@@ -182,31 +171,23 @@ fn main() {
         "journal volume must exceed the memtable budget"
     );
 
-    // Lane 2: fleet-day wall time vs constellation size.
-    let mut criterion = Criterion::default();
+    // Lane 2: fleet-day wall time vs constellation size. The last timed
+    // day supplies the spill statistics.
     let sizes = [6usize, 12, 24];
-    let mut walls = [0.0f64; 3];
-    let mut spill_runs = [0u64; 3];
-    let mut spilled_bytes = [0u64; 3];
-    let mut ingested = [0u64; 3];
     row(&[s("satellites"), s("wall s"), s("spill runs"), s("spilled B"), s("ingested B")]);
-    for (lane, &satellites) in sizes.iter().enumerate() {
-        criterion.bench_function(&format!("fleet_day_{satellites}sat"), |b| {
-            b.iter(|| fly(black_box(satellites), 0, "crit"))
-        });
-        walls[lane] = time_runs(REPS, || fly(satellites, 0, "wall"));
-        let (report, _) = fly(satellites, 0, "stats");
-        spill_runs[lane] = report.spill.runs;
-        spilled_bytes[lane] = report.spill.spilled_bytes;
-        ingested[lane] = report.spill.ingested_bytes;
+    let lanes = sizes.map(|satellites| {
+        let mut last = None;
+        let wall = time(PROTOCOL, || last = Some(fly(satellites, 0, "wall")));
+        let (report, _) = last.expect("timed at least once");
         row(&[
             n(satellites as u64),
-            f(walls[lane]),
-            n(spill_runs[lane]),
-            n(spilled_bytes[lane]),
-            n(ingested[lane]),
+            f(wall.median),
+            n(report.spill.runs),
+            n(report.spill.spilled_bytes),
+            n(report.spill.ingested_bytes),
         ]);
-    }
+        (wall, report.spill)
+    });
 
     // Lane 3: queue pressure. Sustained overflow — storage holds ~200
     // entries, 4000 arrive — times the pre-fix sort+remove(0) push
@@ -214,20 +195,21 @@ fn main() {
     const PRESSURE_TOTAL: usize = 4_000;
     const PRESSURE_STORAGE: f64 = 200.0 * 90.0;
     let entries = pressure_entries(PRESSURE_TOTAL);
-    let legacy_s = time_runs(REPS, || {
+    let legacy_t = time(PROTOCOL, || {
         let mut q = LegacyQueue::new(PRESSURE_STORAGE);
         for e in &entries {
             q.push(*e);
         }
         (q.occupied_bits, q.dropped_bits)
     });
-    let sorted_s = time_runs(REPS, || {
+    let sorted_t = time(PROTOCOL, || {
         let mut q = DownlinkQueue::new(PRESSURE_STORAGE);
         for e in &entries {
             q.push(*e);
         }
         (q.occupied_bits(), q.dropped_bits())
     });
+    let (legacy_s, sorted_s) = (legacy_t.median, sorted_t.median);
     let push_speedup = if sorted_s > 0.0 { legacy_s / sorted_s } else { 0.0 };
     println!();
     println!(
@@ -241,25 +223,34 @@ fn main() {
         "one-pass eviction must beat sort+remove(0), got {push_speedup:.2}x"
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"fleet_streaming\",\n  \"unit\": \"seconds_per_fleet_day\",\n  \"reps\": {REPS},\n  \"memtable_budget_bytes\": {BUDGET},\n  \"outputs_byte_identical_1_2_4_workers\": {byte_identical},\n  \"spill_runs_24sat\": {},\n  \"spill_peak_memtable_bytes_24sat\": {},\n  \"spill_ingested_bytes_24sat\": {},\n  \"fleet_day_6sat_s\": {:.6},\n  \"fleet_day_12sat_s\": {:.6},\n  \"fleet_day_24sat_s\": {:.6},\n  \"spill_runs\": [{}, {}, {}],\n  \"spilled_bytes\": [{}, {}, {}],\n  \"ingested_bytes\": [{}, {}, {}],\n  \"queue_pressure_pushes\": {PRESSURE_TOTAL},\n  \"queue_pressure_legacy_push_s\": {legacy_s:.6},\n  \"queue_pressure_sorted_push_s\": {sorted_s:.6},\n  \"queue_pressure_speedup\": {push_speedup:.2},\n  \"note\": \"fleet lanes fly a fast-transform runtime: the subject is the bounded-memory spill combine and queue replay, not inference throughput. queue_pressure compares the pre-fix sort+remove(0) overflow eviction (reproduced in this bench) against the sorted one-pass eviction under sustained overflow.\"\n}}\n",
-        report_1w.spill.runs,
-        report_1w.spill.peak_memtable_bytes,
-        report_1w.spill.ingested_bytes,
-        walls[0],
-        walls[1],
-        walls[2],
-        spill_runs[0],
-        spill_runs[1],
-        spill_runs[2],
-        spilled_bytes[0],
-        spilled_bytes[1],
-        spilled_bytes[2],
-        ingested[0],
-        ingested[1],
-        ingested[2],
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet_streaming.json");
-    std::fs::write(out, &json).expect("write BENCH_fleet_streaming.json");
-    println!("baseline written to BENCH_fleet_streaming.json");
+    write_baseline("fleet_streaming", "seconds_per_fleet_day", PROTOCOL, |w| {
+        w.uint(Some("memtable_budget_bytes"), BUDGET);
+        w.bool(Some("outputs_byte_identical_1_2_4_workers"), byte_identical);
+        w.uint(Some("spill_runs_24sat"), report_1w.spill.runs);
+        w.uint(Some("spill_peak_memtable_bytes_24sat"), report_1w.spill.peak_memtable_bytes);
+        w.uint(Some("spill_ingested_bytes_24sat"), report_1w.spill.ingested_bytes);
+        for (satellites, (wall, _)) in sizes.iter().zip(&lanes) {
+            wall.write(w, &format!("fleet_day_{satellites}sat_s"));
+        }
+        w.open_array(Some("spill_runs"));
+        lanes.iter().for_each(|(_, spill)| w.uint(None, spill.runs));
+        w.close_array();
+        w.open_array(Some("spilled_bytes"));
+        lanes.iter().for_each(|(_, spill)| w.uint(None, spill.spilled_bytes));
+        w.close_array();
+        w.open_array(Some("ingested_bytes"));
+        lanes.iter().for_each(|(_, spill)| w.uint(None, spill.ingested_bytes));
+        w.close_array();
+        w.uint(Some("queue_pressure_pushes"), PRESSURE_TOTAL as u64);
+        legacy_t.write(w, "queue_pressure_legacy_push_s");
+        sorted_t.write(w, "queue_pressure_sorted_push_s");
+        w.float(Some("queue_pressure_speedup"), push_speedup);
+        w.string(
+            Some("note"),
+            "fleet lanes fly a fast-transform runtime: the subject is the bounded-memory spill \
+             combine and queue replay, not inference throughput. queue_pressure compares the \
+             pre-fix sort+remove(0) overflow eviction (reproduced in this bench) against the \
+             sorted one-pass eviction under sustained overflow.",
+        );
+    });
 }

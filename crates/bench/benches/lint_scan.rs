@@ -7,20 +7,15 @@
 //! budget that keeps the gate tolerable, and writes
 //! `BENCH_lint_scan.json` at the repo root.
 
+use kodan_bench::harness::{time, write_baseline, Protocol};
 use kodan_lint::{analyze, default_rules};
-use std::hint::black_box;
 use std::path::PathBuf;
-use std::time::Instant;
 
-/// Mean wall-clock seconds per call over `reps` runs (1 warmup call).
-fn time_calls<F: FnMut() -> R, R>(reps: u32, mut body: F) -> f64 {
-    black_box(body());
-    let start = Instant::now();
-    for _ in 0..reps {
-        black_box(body());
-    }
-    start.elapsed().as_secs_f64() / f64::from(reps)
-}
+/// A scan is ~50 ms: 9 samples of one scan each.
+const PROTOCOL: Protocol = Protocol::timed(9, 1);
+
+/// The gate budget a scan must stay within.
+const BUDGET_S: f64 = 2.0;
 
 fn main() {
     kodan_bench::banner(
@@ -36,27 +31,33 @@ fn main() {
         "bench expects a lint-clean workspace; run `kodan-lint check` first"
     );
 
-    const REPS: u32 = 5;
-    const BUDGET_S: f64 = 2.0;
-    let scan_s = time_calls(REPS, || analyze(&root, &rules).expect("scan succeeds"));
+    let scan_t = time(PROTOCOL, || analyze(&root, &rules).expect("scan succeeds"));
+    let scan_s = scan_t.median;
 
     let files = analysis.report.files_scanned;
     let nodes = analysis.graph.nodes.len();
     let edges: usize = analysis.graph.edges.iter().map(Vec::len).sum();
     let entries = analysis.graph.nodes.iter().filter(|n| n.entry).count();
 
-    let json = format!(
-        "{{\n  \"bench\": \"lint_scan\",\n  \"unit\": \"seconds_per_scan\",\n  \"reps\": {REPS},\n  \"scan_s\": {scan_s:.6},\n  \"budget_s\": {BUDGET_S:.1},\n  \"files_scanned\": {files},\n  \"graph_nodes\": {nodes},\n  \"graph_edges\": {edges},\n  \"entry_points\": {entries},\n  \"diagnostics\": {diags},\n  \"note\": \"one full-workspace kodan-lint analysis (line rules, item parse, call graph, reachability passes); the lint gate pays this on every tier-1 test run, so it must stay within budget\"\n}}\n",
-        diags = analysis.report.diagnostics.len(),
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_lint_scan.json");
-    std::fs::write(out, &json).expect("write BENCH_lint_scan.json");
-
+    write_baseline("lint_scan", "seconds_per_scan", PROTOCOL, |w| {
+        scan_t.write(w, "scan_s");
+        w.float(Some("budget_s"), BUDGET_S);
+        w.uint(Some("files_scanned"), files as u64);
+        w.uint(Some("graph_nodes"), nodes as u64);
+        w.uint(Some("graph_edges"), edges as u64);
+        w.uint(Some("entry_points"), entries as u64);
+        w.uint(Some("diagnostics"), analysis.report.diagnostics.len() as u64);
+        w.string(
+            Some("note"),
+            "one full-workspace kodan-lint analysis (line rules, item parse, call graph, \
+             reachability passes); the lint gate pays this on every tier-1 test run, so it must \
+             stay within budget",
+        );
+    });
     println!();
     println!(
         "full-workspace scan {scan_s:.3} s over {files} files ({nodes} graph nodes, {edges} edges, {entries} entry points)"
     );
-    println!("baseline written to BENCH_lint_scan.json");
     assert!(
         scan_s < BUDGET_S,
         "workspace scan took {scan_s:.3} s, over the {BUDGET_S:.1} s gate budget"

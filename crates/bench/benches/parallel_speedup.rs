@@ -14,38 +14,27 @@
 //! `speedup_basis` field records which figure `speedup_at_4_workers`
 //! reports.
 
-use criterion::Criterion;
 use kodan::mission::SpaceEnvironment;
 use kodan::par;
 use kodan::runtime::Runtime;
+use kodan_bench::harness::{available_parallelism, time, write_baseline, Protocol};
 use kodan_bench::{banner, bench_artifacts, bench_world};
 use kodan_geodata::frame::FrameImage;
 use kodan_hw::targets::HwTarget;
 use kodan_ml::zoo::ModelArch;
 use kodan_telemetry::SummaryRecorder;
-use std::hint::black_box;
-use std::time::Instant;
 
 /// Frames per timed batch; matches the telemetry-overhead bench and the
 /// issue's 8-frame mission scenario.
 const BATCH_FRAMES: usize = 8;
 
+/// 11 samples of 2 calls, for batches (~14 ms) and single frames alike.
+const PROTOCOL: Protocol = Protocol::timed(11, 2);
+
 fn sample_frames(world: &kodan_geodata::World) -> Vec<FrameImage> {
     (0..BATCH_FRAMES)
         .map(|i| world.render_frame(12.0 + i as f64, -71.0, 0.0, 132, 150.0))
         .collect()
-}
-
-/// Mean wall-clock seconds per call over `reps` runs (2 warmup calls).
-fn time_batch<F: FnMut() -> R, R>(reps: u32, mut body: F) -> f64 {
-    for _ in 0..2 {
-        black_box(body());
-    }
-    let start = Instant::now();
-    for _ in 0..reps {
-        black_box(body());
-    }
-    start.elapsed().as_secs_f64() / f64::from(reps)
 }
 
 /// Makespan of the contiguous-shard schedule: each of `workers` workers
@@ -100,19 +89,12 @@ fn main() {
     }
     assert!(outputs_identical, "parallel outputs diverged from serial");
 
-    let mut criterion = Criterion::default();
-    for workers in [1usize, 2, 4] {
+    // Wall-clock batch times at 1, 2 and 4 workers.
+    let walls = [1, 2, 4].map(|workers| {
         let runtime = runtime_at(workers);
-        criterion.bench_function(&format!("process_frames_{workers}w"), |b| {
-            b.iter(|| runtime.process_frames(black_box(frames.iter())))
-        });
-    }
-
-    // Fixed-rep wall-clock measurements for the committed baseline.
-    const REPS: u32 = 10;
-    let wall_1w = time_batch(REPS, || runtime_at(1).process_frames(frames.iter()));
-    let wall_2w = time_batch(REPS, || runtime_at(2).process_frames(frames.iter()));
-    let wall_4w = time_batch(REPS, || runtime_at(4).process_frames(frames.iter()));
+        time(PROTOCOL, || runtime.process_frames(frames.iter()))
+    });
+    let [wall_1w, wall_2w, wall_4w] = walls.map(|t| t.median);
     let measured_2w = if wall_2w > 0.0 { wall_1w / wall_2w } else { 0.0 };
     let measured_4w = if wall_4w > 0.0 { wall_1w / wall_4w } else { 0.0 };
 
@@ -122,24 +104,43 @@ fn main() {
     let serial_runtime = runtime_at(1);
     let frame_times: Vec<f64> = frames
         .iter()
-        .map(|f| time_batch(REPS, || serial_runtime.process_frames(std::iter::once(f))))
+        .map(|f| time(PROTOCOL, || serial_runtime.process_frames(std::iter::once(f))).median)
         .collect();
     let serial_total: f64 = frame_times.iter().sum();
     let schedule_2w = serial_total / schedule_makespan(&frame_times, 2);
     let schedule_4w = serial_total / schedule_makespan(&frame_times, 4);
 
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cores = available_parallelism();
     let (speedup_4w, basis) = if cores >= 4 {
         (measured_4w, "measured-wall-clock")
     } else {
         (schedule_4w, "critical-path-schedule")
     };
 
-    let json = format!(
-        "{{\n  \"bench\": \"parallel_speedup\",\n  \"unit\": \"seconds_per_{BATCH_FRAMES}_frame_batch\",\n  \"reps\": {REPS},\n  \"cores_available\": {cores},\n  \"wall_1_worker_s\": {wall_1w:.6},\n  \"wall_2_workers_s\": {wall_2w:.6},\n  \"wall_4_workers_s\": {wall_4w:.6},\n  \"measured_speedup_2w\": {measured_2w:.4},\n  \"measured_speedup_4w\": {measured_4w:.4},\n  \"schedule_speedup_2w\": {schedule_2w:.4},\n  \"schedule_speedup_4w\": {schedule_4w:.4},\n  \"speedup_at_4_workers\": {speedup_4w:.4},\n  \"speedup_basis\": \"{basis}\",\n  \"outputs_byte_identical\": {outputs_identical},\n  \"note\": \"schedule speedup is serial time over the busiest shard_len shard; it is what a >=4-core host realizes and the committed acceptance figure when this bench runs on fewer cores\"\n}}\n",
+    write_baseline(
+        "parallel_speedup",
+        &format!("seconds_per_{BATCH_FRAMES}_frame_batch"),
+        PROTOCOL,
+        |w| {
+            w.uint(Some("cores_available"), cores as u64);
+            walls[0].write(w, "wall_1_worker_s");
+            walls[1].write(w, "wall_2_workers_s");
+            walls[2].write(w, "wall_4_workers_s");
+            w.float(Some("measured_speedup_2w"), measured_2w);
+            w.float(Some("measured_speedup_4w"), measured_4w);
+            w.float(Some("schedule_speedup_2w"), schedule_2w);
+            w.float(Some("schedule_speedup_4w"), schedule_4w);
+            w.float(Some("speedup_at_4_workers"), speedup_4w);
+            w.string(Some("speedup_basis"), basis);
+            w.bool(Some("outputs_byte_identical"), outputs_identical);
+            w.string(
+                Some("note"),
+                "schedule speedup is serial time over the busiest shard_len shard; it is what a \
+                 >=4-core host realizes and the committed acceptance figure when this bench runs \
+                 on fewer cores",
+            );
+        },
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel_speedup.json");
-    std::fs::write(out, &json).expect("write BENCH_parallel_speedup.json");
     println!();
     println!(
         "wall: 1w {:.1} ms  2w {:.1} ms  4w {:.1} ms  (measured 4w speedup {measured_4w:.2}x on {cores} core(s))",
@@ -150,7 +151,6 @@ fn main() {
     println!(
         "schedule: 2w {schedule_2w:.2}x  4w {schedule_4w:.2}x  -> speedup_at_4_workers {speedup_4w:.2}x ({basis})"
     );
-    println!("baseline written to BENCH_parallel_speedup.json");
     assert!(
         speedup_4w >= 2.0,
         "4-worker speedup {speedup_4w:.2}x below the 2x acceptance floor"

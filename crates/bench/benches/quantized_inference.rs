@@ -9,16 +9,14 @@
 //! a speedup floor to compare against: the mask path should stay at or
 //! above 2x over f64 batch inference.
 
-use criterion::Criterion;
 use kodan::specialize::{tile_features, tile_labels};
+use kodan_bench::harness::{time, write_baseline, Protocol};
 use kodan_bench::{banner, bench_world, BENCH_SEED};
 use kodan_geodata::features::FEATURE_DIM;
 use kodan_geodata::tile::tile_frame;
 use kodan_ml::eval::{accuracy_retention, ConfusionMatrix};
 use kodan_ml::train::TrainConfig;
 use kodan_ml::Mlp;
-use std::hint::black_box;
-use std::time::Instant;
 
 /// Native tile resolution at grid 6 over 132-px frames.
 const RESOLUTION: usize = 22;
@@ -27,27 +25,10 @@ const RESOLUTION: usize = 22;
 /// the accumulator envelope and the best case for vectorization.
 const HIDDEN: usize = 20;
 
-/// Median-of-trials wall-clock seconds per batch: `trials` timed
-/// groups of `reps` runs each (two warmups first), reporting the
-/// median group mean. The median discards scheduler stalls and
-/// frequency excursions that a single long mean would average in, so
-/// the committed baseline tracks the typical cost, not the noise.
-fn time_batch<F: FnMut() -> R, R>(trials: u32, reps: u32, mut body: F) -> f64 {
-    for _ in 0..2 {
-        black_box(body());
-    }
-    let mut means: Vec<f64> = (0..trials)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..reps {
-                black_box(body());
-            }
-            start.elapsed().as_secs_f64() / f64::from(reps)
-        })
-        .collect();
-    means.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    means[means.len() / 2]
-}
+/// 25 samples of 20 batches (a batch is ~1-2 ms). The median discards
+/// scheduler stalls and frequency excursions that a single long mean
+/// would average in.
+const PROTOCOL: Protocol = Protocol::timed(25, 20);
 
 fn main() {
     banner(
@@ -85,45 +66,22 @@ fn main() {
 
     let mut probs: Vec<f64> = Vec::new();
     let mut mask: Vec<bool> = Vec::new();
-    let mut criterion = Criterion::default();
-    criterion.bench_function("predict_batch_f64", |b| {
-        b.iter(|| {
-            model.predict_proba_batch_into(black_box(&eval_x), FEATURE_DIM, &mut probs);
-            mask.clear();
-            mask.extend(probs.iter().map(|p| *p >= 0.5));
-            black_box(mask.len())
-        })
-    });
-    criterion.bench_function("predict_batch_quantized_proba", |b| {
-        b.iter(|| {
-            quantized.predict_proba_batch_into(black_box(&eval_x), FEATURE_DIM, &mut probs);
-            black_box(probs.len())
-        })
-    });
-    criterion.bench_function("predict_batch_quantized_mask", |b| {
-        b.iter(|| {
-            quantized.predict_mask_batch_into(black_box(&eval_x), FEATURE_DIM, &mut mask);
-            black_box(mask.len())
-        })
-    });
-
-    // Fixed-rep measurements for the committed baseline.
-    const TRIALS: u32 = 25;
-    const REPS: u32 = 20;
-    let f64_mask_s = time_batch(TRIALS, REPS, || {
+    let f64_mask_t = time(PROTOCOL, || {
         model.predict_proba_batch_into(&eval_x, FEATURE_DIM, &mut probs);
         mask.clear();
         mask.extend(probs.iter().map(|p| *p >= 0.5));
         mask.len()
     });
-    let quantized_proba_s = time_batch(TRIALS, REPS, || {
+    let quantized_proba_t = time(PROTOCOL, || {
         quantized.predict_proba_batch_into(&eval_x, FEATURE_DIM, &mut probs);
         probs.len()
     });
-    let quantized_mask_s = time_batch(TRIALS, REPS, || {
+    let quantized_mask_t = time(PROTOCOL, || {
         quantized.predict_mask_batch_into(&eval_x, FEATURE_DIM, &mut mask);
         mask.len()
     });
+    let (f64_mask_s, quantized_proba_s, quantized_mask_s) =
+        (f64_mask_t.median, quantized_proba_t.median, quantized_mask_t.median);
     let speedup_mask = if quantized_mask_s > 0.0 {
         f64_mask_s / quantized_mask_s
     } else {
@@ -152,13 +110,28 @@ fn main() {
 
     let (f64_ops, _) = model.ops_split();
     let int_ops = quantized.int_ops_per_prediction();
-    let json = format!(
-        "{{\n  \"bench\": \"quantized_inference\",\n  \"unit\": \"seconds_per_{predictions}_prediction_batch\",\n  \"method\": \"median of {TRIALS} trial means, {REPS} reps each\",\n  \"f64_mask_s\": {f64_mask_s:.6},\n  \"quantized_proba_s\": {quantized_proba_s:.6},\n  \"quantized_mask_s\": {quantized_mask_s:.6},\n  \"speedup_mask\": {speedup_mask:.2},\n  \"speedup_proba\": {speedup_proba:.2},\n  \"f64_accuracy\": {:.4},\n  \"quantized_accuracy\": {:.4},\n  \"accuracy_retention\": {retention:.4},\n  \"mask_agreement\": {agreement:.4},\n  \"f64_ops_per_prediction\": {f64_ops},\n  \"int_ops_per_prediction\": {int_ops},\n  \"budget_note\": \"future PRs should keep speedup_mask >= 2.0 and accuracy_retention >= 0.99\"\n}}\n",
-        reference.accuracy(),
-        candidate.accuracy(),
+    write_baseline(
+        "quantized_inference",
+        &format!("seconds_per_{predictions}_prediction_batch"),
+        PROTOCOL,
+        |w| {
+            f64_mask_t.write(w, "f64_mask_s");
+            quantized_proba_t.write(w, "quantized_proba_s");
+            quantized_mask_t.write(w, "quantized_mask_s");
+            w.float(Some("speedup_mask"), speedup_mask);
+            w.float(Some("speedup_proba"), speedup_proba);
+            w.float(Some("f64_accuracy"), reference.accuracy());
+            w.float(Some("quantized_accuracy"), candidate.accuracy());
+            w.float(Some("accuracy_retention"), retention);
+            w.float(Some("mask_agreement"), agreement);
+            w.uint(Some("f64_ops_per_prediction"), f64_ops as u64);
+            w.uint(Some("int_ops_per_prediction"), int_ops as u64);
+            w.string(
+                Some("budget_note"),
+                "future PRs should keep speedup_mask >= 2.0 and accuracy_retention >= 0.99",
+            );
+        },
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_quantized_inference.json");
-    std::fs::write(out, &json).expect("write BENCH_quantized_inference.json");
     println!();
     println!(
         "f64 {:.3} ms  q-proba {:.3} ms  q-mask {:.3} ms  speedup {:.2}x/{:.2}x  retention {:.4}",
@@ -173,5 +146,4 @@ fn main() {
         retention >= 0.99,
         "quantized model lost accuracy: retention {retention:.4}"
     );
-    println!("baseline written to BENCH_quantized_inference.json");
 }

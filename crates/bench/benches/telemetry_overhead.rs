@@ -9,37 +9,26 @@
 //! `BENCH_telemetry_overhead.json` at the repo root so future PRs have an
 //! overhead budget to compare against.
 
-use criterion::Criterion;
 use kodan::mission::SpaceEnvironment;
 use kodan::runtime::Runtime;
+use kodan_bench::harness::{time, write_baseline, Protocol};
 use kodan_bench::{banner, bench_artifacts, bench_world};
 use kodan_geodata::frame::FrameImage;
 use kodan_hw::targets::HwTarget;
 use kodan_ml::zoo::ModelArch;
 use kodan_telemetry::{FlightRecorder, NullRecorder, SummaryRecorder};
-use std::hint::black_box;
-use std::time::Instant;
 
 /// Frames timed per batch; small enough to keep the bench fast, large
 /// enough that per-call dispatch noise averages out.
 const BATCH_FRAMES: usize = 8;
 
+/// 21 samples of 2 batches (a batch is ~12 ms).
+const PROTOCOL: Protocol = Protocol::timed(21, 2);
+
 fn sample_frames(world: &kodan_geodata::World) -> Vec<FrameImage> {
     (0..BATCH_FRAMES)
         .map(|i| world.render_frame(12.0 + i as f64, -71.0, 0.0, 132, 150.0))
         .collect()
-}
-
-/// Mean wall-clock seconds per `process_frames` batch over `reps` runs.
-fn time_batch<F: FnMut() -> R, R>(reps: u32, mut body: F) -> f64 {
-    for _ in 0..2 {
-        black_box(body());
-    }
-    let start = Instant::now();
-    for _ in 0..reps {
-        black_box(body());
-    }
-    start.elapsed().as_secs_f64() / f64::from(reps)
 }
 
 fn main() {
@@ -58,39 +47,20 @@ fn main() {
     let runtime = Runtime::new(logic, artifacts.engine.clone());
     let frames = sample_frames(&world);
 
-    let mut criterion = Criterion::default();
-    criterion.bench_function("process_frames_null_recorder", |b| {
-        b.iter(|| runtime.process_frames(black_box(frames.iter())))
-    });
-    criterion.bench_function("process_frames_summary_recorder", |b| {
-        b.iter(|| {
-            let mut recorder = SummaryRecorder::new();
-            runtime.process_frames_recorded(black_box(frames.iter()), &mut recorder)
-        })
-    });
-    criterion.bench_function("process_frames_flight_recorder", |b| {
-        b.iter(|| {
-            let mut recorder = FlightRecorder::new(SummaryRecorder::new());
-            runtime.process_frames_recorded(black_box(frames.iter()), &mut recorder)
-        })
-    });
-
-    // An independent fixed-rep measurement for the committed baseline
-    // (the criterion shim prints but does not expose its timings).
-    const REPS: u32 = 20;
-    let null_s =
-        time_batch(REPS, || runtime.process_frames_recorded(frames.iter(), &mut NullRecorder));
-    let summary_s = time_batch(REPS, || {
+    let null_t =
+        time(PROTOCOL, || runtime.process_frames_recorded(frames.iter(), &mut NullRecorder));
+    let summary_t = time(PROTOCOL, || {
         let mut recorder = SummaryRecorder::new();
         runtime.process_frames_recorded(frames.iter(), &mut recorder)
     });
     // The flight recorder keeps the summary underneath and adds the
     // per-frame ring-buffer maintenance on top — the worst-case armed
     // configuration (`kodan mission` flies with exactly this stack).
-    let flight_s = time_batch(REPS, || {
+    let flight_t = time(PROTOCOL, || {
         let mut recorder = FlightRecorder::new(SummaryRecorder::new());
         runtime.process_frames_recorded(frames.iter(), &mut recorder)
     });
+    let (null_s, summary_s, flight_s) = (null_t.median, summary_t.median, flight_t.median);
     let ratio = if null_s > 0.0 { summary_s / null_s } else { 0.0 };
     let flight_ratio = if null_s > 0.0 { flight_s / null_s } else { 0.0 };
 
@@ -100,12 +70,24 @@ fn main() {
     runtime.process_frames_recorded(frames.iter(), &mut recorder);
     let snapshot = recorder.snapshot();
 
-    let json = format!(
-        "{{\n  \"bench\": \"telemetry_overhead\",\n  \"unit\": \"seconds_per_{BATCH_FRAMES}_frame_batch\",\n  \"reps\": {REPS},\n  \"null_recorder_s\": {null_s:.6},\n  \"summary_recorder_s\": {summary_s:.6},\n  \"flight_recorder_s\": {flight_s:.6},\n  \"overhead_ratio\": {ratio:.4},\n  \"flight_overhead_ratio\": {flight_ratio:.4},\n  \"events_per_batch\": {},\n  \"frames_per_batch\": {},\n  \"budget_note\": \"future PRs should keep overhead_ratio and flight_overhead_ratio under 1.10\"\n}}\n",
-        snapshot.events, snapshot.frames
+    write_baseline(
+        "telemetry_overhead",
+        &format!("seconds_per_{BATCH_FRAMES}_frame_batch"),
+        PROTOCOL,
+        |w| {
+            null_t.write(w, "null_recorder_s");
+            summary_t.write(w, "summary_recorder_s");
+            flight_t.write(w, "flight_recorder_s");
+            w.float(Some("overhead_ratio"), ratio);
+            w.float(Some("flight_overhead_ratio"), flight_ratio);
+            w.uint(Some("events_per_batch"), snapshot.events);
+            w.uint(Some("frames_per_batch"), snapshot.frames);
+            w.string(
+                Some("budget_note"),
+                "future PRs should keep overhead_ratio and flight_overhead_ratio under 1.10",
+            );
+        },
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_telemetry_overhead.json");
-    std::fs::write(out, &json).expect("write BENCH_telemetry_overhead.json");
     println!();
     println!(
         "null {:.3} ms  summary {:.3} ms  flight {:.3} ms  ratios {:.3}/{:.3}  ({} events/batch)",
@@ -116,5 +98,4 @@ fn main() {
         flight_ratio,
         snapshot.events
     );
-    println!("baseline written to BENCH_telemetry_overhead.json");
 }

@@ -3,8 +3,9 @@
 //! Every bench target under `benches/` regenerates one table or figure of
 //! the Kodan paper (run them with `cargo bench -p kodan-bench --bench
 //! figN`). This library holds the pieces they share: the bench-scale
-//! dataset and pipeline configuration, artifact construction, and plain
-//! fixed-width table printing.
+//! dataset and pipeline configuration, artifact construction, plain
+//! fixed-width table printing, and the one timing harness and baseline
+//! writer ([`harness`]).
 //!
 //! Bench scale is chosen so the full suite finishes in minutes while
 //! keeping the statistics stable: a 40-frame representative dataset,
@@ -14,6 +15,8 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+
+pub mod harness;
 
 use kodan::config::KodanConfig;
 use kodan::mission::{Mission, MissionParams, MissionReport, SpaceEnvironment, SystemKind};

@@ -188,23 +188,23 @@ impl Options {
                 other => return Err(format!("unknown flag `{other}`")),
             }
         }
-        if options.frames == 0 {
-            return Err("--frames must be positive".to_string());
-        }
-        if options.contexts == 0 {
-            return Err("--contexts must be positive".to_string());
-        }
-        if options.sats == 0 {
-            return Err("--sats must be positive".to_string());
-        }
-        if options.satellites == 0 {
-            return Err("--satellites must be positive".to_string());
-        }
-        if options.memtable_budget == 0 {
-            return Err("--memtable-budget must be positive".to_string());
-        }
-        if options.contact_passes == 0 {
-            return Err("--contacts must be positive".to_string());
+        // Each count's cap sits far above its default and every documented
+        // value, so an oversized count exits 1 here instead of aborting on
+        // allocation later.
+        for (flag, value, cap) in [
+            ("--frames", options.frames as u64, 100_000),
+            ("--contexts", options.contexts as u64, 1_000),
+            ("--sats", options.sats as u64, 10_000),
+            ("--satellites", options.satellites as u64, 10_000),
+            ("--memtable-budget", options.memtable_budget, 1 << 30),
+            ("--contacts", options.contact_passes as u64, 10_000),
+        ] {
+            if value == 0 {
+                return Err(format!("{flag} must be positive"));
+            }
+            if value > cap {
+                return Err(format!("{flag} must be at most {cap}, got {value}"));
+            }
         }
         Ok(options)
     }
@@ -388,6 +388,8 @@ mod tests {
         assert!(parse(&["--target", "tpu"]).is_err());
         assert!(parse(&["--seed"]).is_err());
         assert!(parse(&["--frames", "0"]).is_err());
+        assert!(parse(&["--frames", "100000"]).is_ok());
+        assert!(parse(&["--frames", "100001"]).is_err());
         assert!(parse(&["--workers", "many"]).is_err());
         assert!(parse(&["--bogus", "1"]).is_err());
     }

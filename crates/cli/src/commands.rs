@@ -707,7 +707,6 @@ pub fn fleet(options: &Options) -> Result<(), String> {
         plan: options
             .plan
             .then(|| build_plan_config(options, PlanMode::Auto)),
-        ..FleetConfig::default_fleet()
     };
 
     // Spill runs go through an artifact store: `--out DIR` when given,

@@ -42,6 +42,9 @@ use kodan_geodata::frame::World;
 use kodan_telemetry::{CounterId, NullRecorder, Recorder, StageId};
 use kodan_wire::{ArtifactStore, WireError};
 
+/// Per-satellite on-board storage of a fleet day, pixels.
+pub(crate) const STORAGE_PX: f64 = 4.0e8;
+
 /// Configuration of a fleet run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetConfig {
@@ -51,8 +54,6 @@ pub struct FleetConfig {
     pub memtable_budget: u64,
     /// Worker threads (0 = auto).
     pub workers: usize,
-    /// Per-satellite on-board storage, pixels.
-    pub storage_px: f64,
     /// Per-satellite execution planning. `None` (the default) flies the
     /// ordinary on-orbit path, byte-identical to a fleet that predates
     /// the planner.
@@ -62,13 +63,12 @@ pub struct FleetConfig {
 impl FleetConfig {
     /// The default fleet: 24 satellites, an 8 KiB combiner memtable
     /// (small enough that a constellation day demonstrably spills), auto
-    /// workers, roomy on-board storage, and no placement planning.
+    /// workers, and no placement planning.
     pub fn default_fleet() -> FleetConfig {
         FleetConfig {
             satellites: 24,
             memtable_budget: 8192,
             workers: 0,
-            storage_px: 4.0e8,
             plan: None,
         }
     }
@@ -320,7 +320,7 @@ impl<'a> Fleet<'a> {
             &outcomes,
             &own,
             None,
-            self.config.storage_px.max(1.0),
+            STORAGE_PX,
             bits_per_px,
             rec,
         );
@@ -403,7 +403,6 @@ mod tests {
             satellites: 4,
             memtable_budget: 2 * JournalRecord::ENCODED_BYTES,
             workers: 1,
-            storage_px: 4.0e8,
             plan: None,
         };
         let fleet = Fleet::new(&world, &runtime, small_params(), config);
@@ -431,7 +430,6 @@ mod tests {
                 satellites: 3,
                 memtable_budget: 1 << 20,
                 workers: 1,
-                storage_px: 4.0e8,
                 plan: None,
             };
             let report = Fleet::new(&world, &runtime, small_params(), config)
@@ -448,7 +446,6 @@ mod tests {
                 satellites: 3,
                 memtable_budget: budget,
                 workers,
-                storage_px: 4.0e8,
                 plan: None,
             };
             let report = Fleet::new(&world, &runtime, small_params(), config)
@@ -476,7 +473,6 @@ mod tests {
                 satellites: 3,
                 memtable_budget: 1 << 20,
                 workers,
-                storage_px: 4.0e8,
                 plan: Some(PlanConfig::default_plan()),
             };
             let report = Fleet::new(&world, &runtime, small_params(), config)
@@ -512,7 +508,6 @@ mod tests {
                 satellites,
                 memtable_budget: 1 << 20,
                 workers: 1,
-                storage_px: 4.0e8,
                 plan: None,
             };
             let report = Fleet::new(&world, &runtime, small_params(), config)

@@ -889,6 +889,22 @@ mod tests {
         // produced.
         assert!(detailed.storage_dropped_px >= 0.0);
         assert!(detailed.residual_px >= 0.0);
+        // The passes carry no more than their capacity.
+        assert!(
+            detailed.sent_px * bits_per_px <= report.capacity_bits * (1.0 + 1e-9),
+            "sent {} bits over {} bits of pass capacity",
+            detailed.sent_px * bits_per_px,
+            report.capacity_bits
+        );
+        // Priority ordering: what went down is denser than the queue's
+        // average entry.
+        let queue_density =
+            aggregate.accounting.produced_value_px / aggregate.accounting.produced_px;
+        assert!(
+            detailed.transmitted_density > queue_density,
+            "drained density {} vs queue average {queue_density}",
+            detailed.transmitted_density
+        );
     }
 
     #[test]

@@ -6,13 +6,13 @@
 //! entries are evicted — so a saturated downlink and finite storage both
 //! preferentially preserve high-value data.
 //!
-//! [`drain_over_passes`] replays a queue against the contention-resolved
-//! passes from `kodan-cote`, giving a pass-by-pass account of what
-//! reaches the ground (the fine-grained counterpart of the aggregate
-//! capacity model in [`crate::mission`]).
+//! [`crate::mission::Mission::run_detailed`] replays a day of captures
+//! through this queue against the contention-resolved passes from
+//! `kodan-cote`, giving a pass-by-pass account of what reaches the
+//! ground (the fine-grained counterpart of the aggregate capacity model
+//! in [`crate::mission`]).
 
 use crate::KodanError;
-use kodan_cote::sim::ServedPass;
 use serde::{Deserialize, Serialize};
 
 /// One queued downlink entry (typically: the kept pixels of one tile).
@@ -55,8 +55,8 @@ impl QueueEntry {
 /// whose final bit left the queue during this drain. An entry split
 /// across passes is invisible in the pass that starts it and counted by
 /// the pass that finishes it, so summing reports over a pass sequence
-/// (as [`drain_over_passes`] does) counts every fully-transmitted entry
-/// exactly once and never double-counts a split.
+/// (as a day replay does) counts every fully-transmitted entry exactly
+/// once and never double-counts a split.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct DrainReport {
     /// Bits transmitted.
@@ -293,19 +293,6 @@ pub struct ShedReport {
     pub entries_shed: usize,
 }
 
-/// Replays a queue's contents through a sequence of contention-resolved
-/// ground passes, returning the aggregate drain report.
-pub fn drain_over_passes(queue: &mut DownlinkQueue, passes: &[ServedPass]) -> DrainReport {
-    let mut total = DrainReport::default();
-    for pass in passes {
-        let r = queue.drain(pass.bits());
-        total.sent_bits += r.sent_bits;
-        total.sent_value_bits += r.sent_value_bits;
-        total.entries_sent += r.entries_sent;
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,36 +385,6 @@ mod tests {
         // The high-density entry survives.
         let drained = q.drain(1e9);
         assert!((drained.sent_value_bits - 90.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn drain_over_real_passes() {
-        use kodan_cote::constellation::Constellation;
-        use kodan_cote::ground::GroundSegment;
-        use kodan_cote::orbit::Orbit;
-        use kodan_cote::sensor::Imager;
-        use kodan_cote::sim::simulate_space_segment;
-        use kodan_cote::time::Duration;
-
-        let report = simulate_space_segment(
-            &Constellation::single(Orbit::sun_synchronous(705_000.0)),
-            &Imager::landsat_oli(),
-            &GroundSegment::landsat(),
-            Duration::from_hours(6.0),
-        );
-        let mut q = DownlinkQueue::new(1e12);
-        for i in 0..1000 {
-            q.push(entry(1e8, 0.3 + 0.6 * (i % 7) as f64 / 7.0));
-        }
-        let drained = drain_over_passes(&mut q, &report.passes);
-        assert!(drained.sent_bits > 0.0);
-        assert!(drained.sent_bits <= report.capacity_bits + 1e-3);
-        // Value density of what went down exceeds the queue average
-        // (priority ordering).
-        if !q.is_empty() {
-            let avg_density = drained.sent_value_bits / drained.sent_bits;
-            assert!(avg_density > 0.5, "drained density {avg_density}");
-        }
     }
 
     #[test]

@@ -73,7 +73,8 @@ impl JsonWriter {
         }
     }
 
-    fn begin_member(&mut self) {
+    /// Starts a member: the separator, the indent, and `key` if any.
+    fn begin_member(&mut self, key: Option<&str>) {
         if let Some(last) = self.has_member.last_mut() {
             if *last {
                 self.buf.push(',');
@@ -82,15 +83,15 @@ impl JsonWriter {
             self.buf.push('\n');
             self.indent();
         }
+        if let Some(k) = key {
+            let _ = write!(self.buf, "\"{}\": ", escape(k));
+        }
     }
 
     /// Opens the root object or a nested object under `key` (pass `None`
     /// inside arrays or at the root).
     pub fn open_object(&mut self, key: Option<&str>) {
-        self.begin_member();
-        if let Some(k) = key {
-            let _ = write!(self.buf, "\"{}\": ", escape(k));
-        }
+        self.begin_member(key);
         self.buf.push('{');
         self.has_member.push(false);
     }
@@ -107,10 +108,7 @@ impl JsonWriter {
 
     /// Opens an array under `key` (or anonymously inside another array).
     pub fn open_array(&mut self, key: Option<&str>) {
-        self.begin_member();
-        if let Some(k) = key {
-            let _ = write!(self.buf, "\"{}\": ", escape(k));
-        }
+        self.begin_member(key);
         self.buf.push('[');
         self.has_member.push(false);
     }
@@ -127,28 +125,25 @@ impl JsonWriter {
 
     /// Writes a string member (or a bare string element inside arrays).
     pub fn string(&mut self, key: Option<&str>, value: &str) {
-        self.begin_member();
-        if let Some(k) = key {
-            let _ = write!(self.buf, "\"{}\": ", escape(k));
-        }
+        self.begin_member(key);
         let _ = write!(self.buf, "\"{}\"", escape(value));
     }
 
     /// Writes an unsigned integer member.
     pub fn uint(&mut self, key: Option<&str>, value: u64) {
-        self.begin_member();
-        if let Some(k) = key {
-            let _ = write!(self.buf, "\"{}\": ", escape(k));
-        }
+        self.begin_member(key);
+        let _ = write!(self.buf, "{value}");
+    }
+
+    /// Writes a boolean member.
+    pub fn bool(&mut self, key: Option<&str>, value: bool) {
+        self.begin_member(key);
         let _ = write!(self.buf, "{value}");
     }
 
     /// Writes a float member with deterministic formatting.
     pub fn float(&mut self, key: Option<&str>, value: f64) {
-        self.begin_member();
-        if let Some(k) = key {
-            let _ = write!(self.buf, "\"{}\": ", escape(k));
-        }
+        self.begin_member(key);
         let _ = write!(self.buf, "{}", format_f64(value));
     }
 
@@ -208,6 +203,7 @@ mod tests {
         w.uint(Some("a"), 1);
         w.open_object(Some("b"));
         w.float(Some("x"), 0.5);
+        w.bool(Some("y"), true);
         w.close_object();
         w.open_array(Some("c"));
         w.string(None, "e1");
@@ -217,7 +213,7 @@ mod tests {
         let out = w.finish();
         assert_eq!(
             out,
-            "{\n  \"a\": 1,\n  \"b\": {\n    \"x\": 0.5\n  },\n  \"c\": [\n    \"e1\",\n    \"e2\"\n  ]\n}\n"
+            "{\n  \"a\": 1,\n  \"b\": {\n    \"x\": 0.5,\n    \"y\": true\n  },\n  \"c\": [\n    \"e1\",\n    \"e2\"\n  ]\n}\n"
         );
     }
 

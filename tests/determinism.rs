@@ -546,7 +546,6 @@ fn fleet_reports_and_telemetry_are_byte_identical_at_any_worker_count() {
             satellites: 24,
             memtable_budget: budget,
             workers,
-            storage_px: 4.0e8,
             plan: None,
         };
         let dir = root.join(format!("w{workers}"));
@@ -997,7 +996,6 @@ fn golden_fleet_days_are_pinned() {
             satellites: 2,
             memtable_budget: 2 * kodan::fleet::combine::JournalRecord::ENCODED_BYTES,
             workers: 0,
-            storage_px: 4.0e8,
             plan,
         };
         let store = ArtifactStore::create(&root.join(tag)).expect("create spill store");
