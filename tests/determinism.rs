@@ -901,6 +901,52 @@ fn golden_planned_mission_is_pinned() {
     );
 }
 
+/// The `kodan mission` shape: bent pipe, direct deploy and Kodan flown
+/// on one shared `Mission`, Kodan with a recorder.
+#[test]
+fn golden_three_system_mission_is_pinned() {
+    use kodan::selection::SelectionLogic;
+
+    let artifacts = common::test_artifacts();
+    let env = SpaceEnvironment::fixed(0.21);
+    let world = World::new(42);
+    let params = MissionParams {
+        sample_frames: 6,
+        frame_px: 132,
+        frame_km: 150.0,
+        sample_window_days: 1.0,
+    };
+    let mission = Mission::new(&env, &world, params);
+    let bent = mission.run_bent_pipe();
+    let direct_logic = SelectionLogic::direct_deploy(
+        artifacts,
+        HwTarget::OrinAgx15W,
+        env.frame_deadline,
+        env.capacity_fraction,
+    );
+    let direct = mission.run_with_runtime(
+        &Runtime::new(direct_logic, artifacts.engine.clone()).with_workers(2),
+        SystemKind::DirectDeploy,
+    );
+    let logic = artifacts.select_with_capacity(
+        HwTarget::OrinAgx15W,
+        env.frame_deadline,
+        env.capacity_fraction,
+    );
+    let mut recorder = SummaryRecorder::new();
+    let kodan = mission.run_with_runtime_recorded(
+        &Runtime::new(logic, artifacts.engine.clone()).with_workers(2),
+        SystemKind::Kodan,
+        &mut recorder,
+    );
+    assert_golden(
+        "three-system mission",
+        &format!("{bent:?}{direct:?}{kodan:?}"),
+        &recorder.snapshot().to_json(),
+        (0x560e46b977ff651c, 0xd16210afd997b573),
+    );
+}
+
 #[test]
 fn golden_faulted_detailed_mission_is_pinned() {
     use kodan_cote::sim::ServedPass;
