@@ -267,7 +267,8 @@ impl<'a> Fleet<'a> {
         let mut params = self.params;
         params.sample_frames = params.sample_frames.max(1);
         let mission = Mission::new(&env, self.world, params);
-        let frames = mission.sample_frames();
+        // Satellites are the fleet's parallel axis: render serially.
+        let frames = mission.frames_with(1);
         rec.span(StageId::FrameSampling, 0.0, frames.len() as u64);
 
         // With planning on, each satellite plans its own day against its

@@ -10,9 +10,11 @@
 //! is unnecessary — value statistics converge with a few dozen sampled
 //! frames spread along the ground track, and the compute/downlink
 //! bookkeeping is exact arithmetic on top. `sample_frames` controls the
-//! trade.
+//! trade. A mission renders its sampled frames at most once, in
+//! parallel, and every run over it shares that one frame set.
 
 use crate::dvd::DownlinkAccounting;
+use crate::par;
 use crate::plan::{ExecutionPlanner, FrameEstimate, PlacementLedger, TileEstimate};
 use crate::queue::{DownlinkQueue, DrainReport, QueueEntry};
 use crate::runtime::{bent_pipe_frame, tile_pixels, FrameOutcome, Runtime};
@@ -30,6 +32,8 @@ use kodan_telemetry::{
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// Which data-handling system a mission runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -185,12 +189,38 @@ pub struct PlannedMissionReport {
     pub ledger: PlacementLedger,
 }
 
+/// A mission's sampled frames, rendered once and shared: cloning the
+/// handle shares the frames, it never copies one.
+#[derive(Debug, Clone)]
+pub struct SampledFrames(Arc<[FrameImage]>);
+
+impl Deref for SampledFrames {
+    type Target = [FrameImage];
+
+    fn deref(&self) -> &[FrameImage] {
+        &self.0
+    }
+}
+
+impl<'f> IntoIterator for &'f SampledFrames {
+    type Item = &'f FrameImage;
+    type IntoIter = std::slice::Iter<'f, FrameImage>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
 /// A mission runner bound to an environment and a world.
-#[derive(Debug, Clone, Copy)]
+///
+/// The sampled frames are rendered on first use and cached, so every
+/// `run_*` on one mission flies the same frames without re-rendering.
+#[derive(Debug, Clone)]
 pub struct Mission<'a> {
     env: &'a SpaceEnvironment,
     world: &'a World,
     params: MissionParams,
+    frames: OnceLock<SampledFrames>,
 }
 
 impl<'a> Mission<'a> {
@@ -201,11 +231,31 @@ impl<'a> Mission<'a> {
     /// Panics if `sample_frames` is zero.
     pub fn new(env: &'a SpaceEnvironment, world: &'a World, params: MissionParams) -> Mission<'a> {
         assert!(params.sample_frames > 0, "mission needs sample frames");
-        Mission { env, world, params }
+        Mission {
+            env,
+            world,
+            params,
+            frames: OnceLock::new(),
+        }
     }
 
-    /// Renders the sampled frames along the day's ground track.
-    pub fn sample_frames(&self) -> Vec<FrameImage> {
+    /// The sampled frames along the day's ground track, rendered on the
+    /// first call across the host's cores and shared afterwards.
+    pub fn sample_frames(&self) -> SampledFrames {
+        self.frames_with(par::resolve_workers(0))
+    }
+
+    /// [`Mission::sample_frames`], rendering on `workers` threads if no
+    /// frames are cached yet. The frames are the same at any worker
+    /// count; a caller that is already parallel (a fleet satellite)
+    /// renders serially with `workers = 1`.
+    pub(crate) fn frames_with(&self, workers: usize) -> SampledFrames {
+        self.frames.get_or_init(|| self.render(workers)).clone()
+    }
+
+    /// Renders the sampled frames: this thread allocates every frame and
+    /// `workers` threads fill them in place (see [`par::par_for_each_mut`]).
+    fn render(&self, workers: usize) -> SampledFrames {
         let schedule = capture_schedule(
             &self.env.orbit,
             &self.env.imager,
@@ -214,21 +264,25 @@ impl<'a> Mission<'a> {
         );
         let n = self.params.sample_frames.min(schedule.len());
         let stride = (schedule.len() / n).max(1);
-        schedule
+        let placements: Vec<(f64, f64, f64)> = schedule
             .iter()
             .step_by(stride)
             .take(n)
             .map(|cap| {
                 let t_days = (cap.epoch - self.env.orbit.epoch()).as_days();
-                self.world.render_frame(
-                    cap.center.latitude_deg(),
-                    cap.center.longitude_deg(),
-                    t_days,
-                    self.params.frame_px,
-                    self.params.frame_km,
-                )
+                (cap.center.latitude_deg(), cap.center.longitude_deg(), t_days)
             })
-            .collect()
+            .collect();
+        let mut frames: Vec<FrameImage> = placements
+            .iter()
+            .map(|_| FrameImage::blank(self.params.frame_px))
+            .collect();
+        par::par_for_each_mut(workers, &mut frames, |i, frame| {
+            if let Some(&(lat, lon, t_days)) = placements.get(i) {
+                self.world.render_into(frame, lat, lon, t_days, self.params.frame_km);
+            }
+        });
+        SampledFrames(frames.into())
     }
 
     /// Runs the bent-pipe baseline.
@@ -850,6 +904,26 @@ mod tests {
         let span = lats.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
             - lats.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(span > 30.0, "latitude span {span}");
+    }
+
+    #[test]
+    fn a_mission_renders_its_frames_once() {
+        let env = SpaceEnvironment::fixed(0.21);
+        let world = World::new(42);
+        let mission = Mission::new(&env, &world, params());
+        let first = mission.sample_frames();
+        let second = mission.sample_frames();
+        assert!(Arc::ptr_eq(&first.0, &second.0));
+    }
+
+    #[test]
+    fn frames_do_not_depend_on_render_workers() {
+        let env = SpaceEnvironment::fixed(0.21);
+        let world = World::new(42);
+        let serial = Mission::new(&env, &world, params()).frames_with(1);
+        let parallel = Mission::new(&env, &world, params()).frames_with(4);
+        assert_eq!(serial.len(), 6);
+        assert_eq!(*serial, *parallel);
     }
 
     #[test]

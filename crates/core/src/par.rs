@@ -86,10 +86,11 @@ pub fn stream_seed(master: u64, stream: u64) -> u64 {
 }
 
 /// Maps `f` over `items` on `workers` threads, returning results in
-/// input order. `f` receives the item's index and the item; results are
-/// written into index-keyed slots, so the output is identical to
-/// `items.iter().enumerate().map(...)` regardless of scheduling. Panics
-/// in `f` are propagated to the caller after all workers join.
+/// input order. `f` receives the item's index and the item; each
+/// [`shard_len`] shard is mapped by one [`par_for_each_mut`] worker, so
+/// the output is identical to `items.iter().enumerate().map(...)`
+/// regardless of scheduling. Panics in `f` are propagated to the caller
+/// after all workers join.
 pub fn par_map_indexed<I, T, F>(workers: usize, items: &[I], f: F) -> Vec<T>
 where
     I: Sync,
@@ -104,33 +105,68 @@ where
     // Each shard fills its own output Vec; concatenating in shard order
     // reproduces input order without index-keyed Option slots (and
     // without the unfillable-slot panic path they would imply).
-    let mut shard_outputs: Vec<Vec<T>> = Vec::with_capacity(workers);
-    shard_outputs.resize_with(workers, Vec::new);
+    let mut shards: Vec<(usize, &[I], Vec<T>)> = Vec::with_capacity(workers);
+    let mut rest = items;
+    let mut start = 0usize;
+    for w in 0..workers {
+        let (shard, tail) = rest.split_at(shard_len(n, workers, w).min(rest.len()));
+        shards.push((start, shard, Vec::new()));
+        start += shard.len();
+        rest = tail;
+    }
+    par_for_each_mut(workers, &mut shards, |_, (shard_start, shard, out)| {
+        *out = shard
+            .iter()
+            .enumerate()
+            .map(|(offset, item)| f(*shard_start + offset, item))
+            .collect();
+    });
+    shards.into_iter().flat_map(|(_, _, out)| out).collect()
+}
 
+/// Calls `f(index, item)` on every item of `items`, in place, on
+/// `workers` threads with the contiguous [`shard_len`] schedule of
+/// [`par_map_indexed`]. Each item is touched by exactly one call, so
+/// the items end up as a serial loop would leave them.
+///
+/// This is the primitive for parallel producers of large buffers: the
+/// caller allocates the outputs on its own thread and the workers only
+/// fill them. Buffers allocated on worker threads land in per-thread
+/// allocator arenas and raise peak memory (see DESIGN.md §9). Panics in
+/// `f` are re-raised to the caller after all workers join.
+pub fn par_for_each_mut<T, F>(workers: usize, items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    let n = items.len();
+    if workers <= 1 || n <= 1 {
+        for (i, item) in items.iter_mut().enumerate() {
+            f(i, item);
+        }
+        return;
+    }
+    let workers = workers.min(n);
     let result = crossbeam::scope(|scope| {
         let f = &f;
         let mut rest = items;
         let mut start = 0usize;
-        for (w, out) in shard_outputs.iter_mut().enumerate() {
+        for w in 0..workers {
             let len = shard_len(n, workers, w).min(rest.len());
-            let (shard_items, tail) = rest.split_at(len);
+            let (shard, tail) = std::mem::take(&mut rest).split_at_mut(len);
             rest = tail;
             let shard_start = start;
             start += len;
             scope.spawn(move |_| {
-                *out = shard_items
-                    .iter()
-                    .enumerate()
-                    .map(|(offset, item)| f(shard_start + offset, item))
-                    .collect();
+                for (offset, item) in shard.iter_mut().enumerate() {
+                    f(shard_start + offset, item);
+                }
             });
         }
     });
     if let Err(payload) = result {
         std::panic::resume_unwind(payload);
     }
-
-    shard_outputs.into_iter().flatten().collect()
 }
 
 /// Like [`par_map_indexed`], but each call of `f` also gets a recorder.
@@ -215,6 +251,33 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(par_map_indexed(4, &empty, |_, x| *x).is_empty());
         assert_eq!(par_map_indexed(4, &[9u32], |_, x| x + 1), vec![10]);
+    }
+
+    #[test]
+    fn for_each_mut_matches_a_serial_loop() {
+        let fill = |i: usize, x: &mut u64| *x = *x * 7 + i as u64;
+        for n in [0usize, 1, 2, 5, 23] {
+            let mut serial: Vec<u64> = (0..n as u64).collect();
+            for (i, x) in serial.iter_mut().enumerate() {
+                fill(i, x);
+            }
+            for workers in [1, 2, 3, 8] {
+                let mut parallel: Vec<u64> = (0..n as u64).collect();
+                par_for_each_mut(workers, &mut parallel, fill);
+                assert_eq!(serial, parallel, "n={n} workers={workers}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn for_each_mut_reraises_a_worker_panic() {
+        let mut items = vec![0u32; 6];
+        par_for_each_mut(3, &mut items, |i, _| {
+            if i == 4 {
+                panic!("item 4 failed");
+            }
+        });
     }
 
     #[test]

@@ -180,45 +180,44 @@ impl Dataset {
 /// Renders frames at the given placements across worker threads, keeping
 /// output order. Thread count adapts to the host; results are identical
 /// to sequential rendering because each frame depends only on its
-/// placement and the (shared, immutable) world.
+/// placement and the (shared, immutable) world. The calling thread
+/// allocates every frame and the workers only fill them, so the frames
+/// stay out of per-thread allocator arenas.
 fn render_parallel(
     world: &World,
     placements: &[(f64, f64, f64)],
     frame_px: usize,
     frame_km: f64,
 ) -> Vec<FrameImage> {
+    let mut frames: Vec<FrameImage> =
+        placements.iter().map(|_| FrameImage::blank(frame_px)).collect();
+    let render = |frames: &mut [FrameImage], placements: &[(f64, f64, f64)]| {
+        for (frame, &(lat, lon, t)) in frames.iter_mut().zip(placements) {
+            world.render_into(frame, lat, lon, t, frame_km);
+        }
+    };
     // geodata sits below kodan_core in the dependency graph and cannot
-    // use par; order-keyed slots give the same guarantee.
+    // use par; disjoint chunks of the frames give the same guarantee.
     // lint:allow(thread-discipline): par lives above geodata in the dep graph; the probe only sizes the pool, never the output
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
         .min(placements.len().max(1));
     if workers <= 1 || placements.len() < 4 {
-        return placements
-            .iter()
-            .map(|&(lat, lon, t)| world.render_frame(lat, lon, t, frame_px, frame_km))
-            .collect();
+        render(&mut frames, placements);
+        return frames;
     }
-    let mut slots: Vec<Option<FrameImage>> = vec![None; placements.len()];
     let chunk = placements.len().div_ceil(workers);
-    // lint:allow(thread-discipline): scoped spawn writes disjoint index-keyed slots, so output equals the serial render order
-    crossbeam::scope(|scope| {
-        for (slot_chunk, place_chunk) in
-            slots.chunks_mut(chunk).zip(placements.chunks(chunk))
-        {
-            scope.spawn(move |_| {
-                for (slot, &(lat, lon, t)) in slot_chunk.iter_mut().zip(place_chunk) {
-                    *slot = Some(world.render_frame(lat, lon, t, frame_px, frame_km));
-                }
-            });
+    // lint:allow(thread-discipline): scoped spawn fills disjoint chunks of the frames, so output equals the serial render order
+    let result = crossbeam::scope(|scope| {
+        for (frame_chunk, place_chunk) in frames.chunks_mut(chunk).zip(placements.chunks(chunk)) {
+            scope.spawn(move |_| render(frame_chunk, place_chunk));
         }
-    })
-    .expect("render workers do not panic");
-    slots
-        .into_iter()
-        .map(|s| s.expect("every slot rendered"))
-        .collect()
+    });
+    if let Err(payload) = result {
+        std::panic::resume_unwind(payload);
+    }
+    frames
 }
 
 #[cfg(test)]

@@ -64,7 +64,8 @@ impl World {
 
     /// Renders a square frame of `px` x `px` pixels centered at
     /// (`lat_deg`, `lon_deg`) covering `frame_km` kilometers on a side, at
-    /// simulation time `t_days`.
+    /// simulation time `t_days`: [`FrameImage::blank`] filled by
+    /// [`World::render_into`].
     ///
     /// # Panics
     ///
@@ -77,21 +78,43 @@ impl World {
         px: usize,
         frame_km: f64,
     ) -> FrameImage {
-        assert!(px > 0, "frame must have pixels");
+        let mut frame = FrameImage::blank(px);
+        self.render_into(&mut frame, lat_deg, lon_deg, t_days, frame_km);
+        frame
+    }
+
+    /// Renders into an allocated frame, keeping its size: every pixel,
+    /// both truths and the placement are overwritten, so the result equals
+    /// [`World::render_frame`] at the frame's size. Parallel producers
+    /// allocate frames on the calling thread and fill them here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame_km` is not positive.
+    pub fn render_into(
+        &self,
+        frame: &mut FrameImage,
+        lat_deg: f64,
+        lon_deg: f64,
+        t_days: f64,
+        frame_km: f64,
+    ) {
         assert!(frame_km > 0.0, "frame must have extent");
+        let px = frame.px;
         let deg_per_km = 1.0 / 111.32;
         let half = frame_km / 2.0;
         let cos_lat = lat_deg.to_radians().cos().max(0.05);
 
-        let mut channels = vec![0.0f32; px * px * CHANNELS];
-        let mut truth_cloudy = vec![false; px * px];
-        let mut surface = Vec::with_capacity(px * px);
-
+        // Row-major pixel cells: channels, cloud truth, surface truth.
+        let mut cells = frame
+            .channels
+            .chunks_exact_mut(CHANNELS)
+            .zip(frame.truth_cloudy.iter_mut().zip(frame.surface.iter_mut()));
         for row in 0..px {
             // Row 0 at the north edge.
             let dy_km = half - frame_km * (row as f64 + 0.5) / px as f64;
             let p_lat = lat_deg + dy_km * deg_per_km;
-            for col in 0..px {
+            for (col, (channels, (cloudy, surface))) in cells.by_ref().take(px).enumerate() {
                 let dx_km = -half + frame_km * (col as f64 + 0.5) / px as f64;
                 let p_lon = lon_deg + dx_km * deg_per_km / cos_lat;
 
@@ -106,24 +129,16 @@ impl World {
                 };
                 let values =
                     synthesize_pixel(&env, &self.confusers, self.seed, col as i64, row as i64);
-                let idx = row * px + col;
-                channels[idx * CHANNELS..(idx + 1) * CHANNELS]
-                    .copy_from_slice(&values);
-                truth_cloudy[idx] = depth > CLOUD_TRUTH_THRESHOLD;
-                surface.push(s);
+                channels.copy_from_slice(&values);
+                *cloudy = depth > CLOUD_TRUTH_THRESHOLD;
+                *surface = s;
             }
         }
 
-        FrameImage {
-            px,
-            channels,
-            truth_cloudy,
-            surface,
-            center_lat_deg: lat_deg,
-            center_lon_deg: lon_deg,
-            t_days,
-            frame_km,
-        }
+        frame.center_lat_deg = lat_deg;
+        frame.center_lon_deg = lon_deg;
+        frame.t_days = t_days;
+        frame.frame_km = frame_km;
     }
 }
 
@@ -144,6 +159,26 @@ pub struct FrameImage {
 }
 
 impl FrameImage {
+    /// An allocated `px` x `px` frame for [`World::render_into`] to fill:
+    /// zero reflectance, clear, ocean, at the origin with no extent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `px` is zero.
+    pub fn blank(px: usize) -> FrameImage {
+        assert!(px > 0, "frame must have pixels");
+        FrameImage {
+            px,
+            channels: vec![0.0; px * px * CHANNELS],
+            truth_cloudy: vec![false; px * px],
+            surface: vec![SurfaceType::Ocean; px * px],
+            center_lat_deg: 0.0,
+            center_lon_deg: 0.0,
+            t_days: 0.0,
+            frame_km: 0.0,
+        }
+    }
+
     /// Frame width in pixels.
     pub fn width(&self) -> usize {
         self.px
@@ -322,6 +357,24 @@ mod tests {
         }
         assert!(clear_n > 0.0 && cloud_n > 0.0);
         assert!(cloud_sum / cloud_n > clear_sum / clear_n);
+    }
+
+    #[test]
+    fn render_frame_equals_blank_then_render_into() {
+        let world = World::new(42);
+        // Mid-latitude, both poles (the longitude scale clamps) and both
+        // sides of the antimeridian.
+        for &(lat, lon, t) in &[
+            (12.0, -71.0, 0.0),
+            (90.0, 0.0, 0.5),
+            (-89.9, 45.0, 1.0),
+            (0.0, 179.95, 2.0),
+            (10.0, -180.0, 0.25),
+        ] {
+            let mut frame = FrameImage::blank(20);
+            world.render_into(&mut frame, lat, lon, t, 150.0);
+            assert_eq!(frame, world.render_frame(lat, lon, t, 20, 150.0), "at ({lat}, {lon})");
+        }
     }
 
     #[test]
