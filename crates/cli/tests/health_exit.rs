@@ -174,3 +174,34 @@ fn bad_inputs_exit_one_with_a_named_error() {
     assert_eq!(diff.status.code(), Some(1), "missing operand must exit 1");
     assert!(String::from_utf8_lossy(&diff.stderr).contains("usage"));
 }
+
+#[test]
+fn mission_and_health_record_the_same_kodan_day() {
+    // `kodan health` flies the Kodan leg of `kodan mission`: the same
+    // transformation, selection, runtime and frames feed one recorder, so
+    // the two commands write byte-identical snapshots.
+    let dir = scratch("kodan_leg");
+    let mission = dir.join("mission.json");
+    let health = dir.join("health.json");
+    let run = |command: &str, snapshot: &PathBuf| {
+        let out = kodan()
+            .args([command, "--frames", "4", "--workers", "2", "--telemetry"])
+            .arg(snapshot)
+            .output()
+            .expect("run kodan");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            matches!(out.status.code(), Some(0) | Some(2)),
+            "{command} exited {:?}: {stderr}",
+            out.status.code()
+        );
+        std::fs::read(snapshot).expect("read snapshot")
+    };
+    let from_mission = run("mission", &mission);
+    let from_health = run("health", &health);
+    assert!(!from_mission.is_empty());
+    assert!(
+        from_mission == from_health,
+        "mission and health snapshots differ"
+    );
+}
