@@ -211,18 +211,11 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Classifies a tile into a context.
-    pub fn classify(&self, tile: &TileImage) -> ContextId {
-        match self {
-            EngineKind::Learned(engine) => engine.classify(tile),
-            EngineKind::ExpertMap(engine) => engine.classify(tile),
-        }
-    }
-
-    /// Classifies a tile and reports the assignment to `recorder`: a
-    /// [`TelemetryEvent::TileClassified`] journal entry plus a counter
-    /// attributing the classification to the learned or expert engine.
-    /// `tile_index` is the tile's raster position within its frame.
+    /// Classifies a tile into a context and reports the assignment to
+    /// `recorder`: a [`TelemetryEvent::TileClassified`] journal entry
+    /// plus a counter attributing the classification to the learned or
+    /// expert engine. `tile_index` is the tile's raster position within
+    /// its frame.
     pub fn classify_recorded(
         &self,
         tile: &TileImage,
@@ -384,7 +377,10 @@ mod tests {
         let learned = ContextEngine::train(&train_tiles, &contexts);
         let kind: EngineKind = learned.clone().into();
         for t in train_tiles.iter().take(10) {
-            assert_eq!(kind.classify(t), learned.classify(t));
+            assert_eq!(
+                kind.classify_recorded(t, 0, &mut kodan_telemetry::NullRecorder),
+                learned.classify(t)
+            );
         }
     }
 
@@ -395,7 +391,7 @@ mod tests {
         let kind: EngineKind = learned.into();
         let mut recorder = kodan_telemetry::SummaryRecorder::new();
         for (i, t) in train_tiles.iter().take(12).enumerate() {
-            let plain = kind.classify(t);
+            let plain = kind.classify_recorded(t, i as u32, &mut kodan_telemetry::NullRecorder);
             let recorded = kind.classify_recorded(t, i as u32, &mut recorder);
             assert_eq!(plain, recorded);
         }

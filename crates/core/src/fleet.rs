@@ -28,18 +28,14 @@
 pub mod combine;
 
 use crate::fleet::combine::{JournalRecord, SpillCombiner, SpillStats};
-use crate::mission::{own_passes, Mission, MissionParams, SpaceEnvironment};
+use crate::mission::{landsat_segment, own_passes, Mission, MissionParams, SpaceEnvironment};
 use crate::par::{par_map_recorded, resolve_workers};
 use crate::plan::{ExecutionPlanner, PlanConfig};
-use crate::runtime::{FrameOutcome, Runtime};
-use kodan_cote::constellation::Constellation;
-use kodan_cote::ground::GroundSegment;
+use crate::runtime::Runtime;
 use kodan_cote::orbit::Orbit;
-use kodan_cote::sensor::Imager;
-use kodan_cote::sim::{simulate_space_segment, SpaceSegmentReport};
-use kodan_cote::time::Duration;
+use kodan_cote::sim::SpaceSegmentReport;
 use kodan_geodata::frame::World;
-use kodan_telemetry::{CounterId, NullRecorder, Recorder, StageId};
+use kodan_telemetry::{CounterId, NullRecorder, Recorder};
 use kodan_wire::{ArtifactStore, WireError};
 
 /// Per-satellite on-board storage of a fleet day, pixels.
@@ -164,27 +160,17 @@ impl<'a> Fleet<'a> {
         store: &ArtifactStore,
         recorder: &mut dyn Recorder,
     ) -> Result<FleetReport, WireError> {
-        let n = self.config.satellites.max(1);
-        let orbit = Orbit::sun_synchronous(705_000.0);
-        let constellation = Constellation::same_plane(orbit, n);
-        let segment = simulate_space_segment(
-            &constellation,
-            &Imager::landsat_oli(),
-            &GroundSegment::landsat(),
-            Duration::from_days(1.0),
-        );
-
-        // Pair each satellite with its own phased orbit so ground
-        // tracks (and therefore sampled frames) differ per satellite.
-        let mut sats: Vec<(u32, Orbit)> = Vec::with_capacity(n);
-        for (index, phased) in constellation.orbits().iter().enumerate() {
-            sats.push((index as u32, *phased));
-        }
-
+        let (constellation, segment) = landsat_segment(self.config.satellites.max(1));
+        // Satellites are the parallel axis: each one renders and processes
+        // its frames serially on its own worker, never nesting threads.
+        let runtime = self.runtime.clone().with_workers(1);
         let workers = resolve_workers(self.config.workers);
-        let journals = par_map_recorded(workers, &sats, recorder, |_, item, rec| {
-            self.fly_one(item.0, item.1, &segment, rec)
-        });
+        // Each satellite flies its own phased orbit, so ground tracks (and
+        // therefore sampled frames) differ per satellite.
+        let journals =
+            par_map_recorded(workers, constellation.orbits(), recorder, |sat, orbit, rec| {
+                self.fly_one(sat as u32, *orbit, &segment, &runtime, rec)
+            });
 
         // Serial combine in satellite-index order: the ingest sequence —
         // and with it every spill boundary and fold — is a pure function
@@ -245,67 +231,31 @@ impl<'a> Fleet<'a> {
         sat: u32,
         orbit: Orbit,
         segment: &SpaceSegmentReport,
+        runtime: &Runtime,
         rec: &mut dyn Recorder,
     ) -> Vec<JournalRecord> {
-        let imager = Imager::landsat_oli();
+        let env =
+            SpaceEnvironment::on_segment(orbit, segment, segment.capacity_bits_for(sat as usize));
         let px_per_frame = (self.params.frame_px * self.params.frame_px) as f64;
-        let bits_per_px = imager.frame_bits() / px_per_frame.max(1.0);
-        let observed_bits = segment.frames_seen_per_satellite as f64 * segment.frame_bits;
-        let capacity_fraction = if observed_bits > 0.0 {
-            (segment.capacity_bits_for(sat as usize) / observed_bits).min(1.0)
-        } else {
-            0.0
-        };
-        let env = SpaceEnvironment {
-            orbit,
-            imager,
-            frame_deadline: segment.frame_deadline,
-            frames_per_day: segment.frames_seen_per_satellite,
-            capacity_fraction,
-        };
+        let bits_per_px = env.imager.frame_bits() / px_per_frame.max(1.0);
 
         let mut params = self.params;
         params.sample_frames = params.sample_frames.max(1);
         let mission = Mission::new(&env, self.world, params);
-        // Satellites are the fleet's parallel axis: render serially.
-        let frames = mission.frames_with(1);
-        rec.span(StageId::FrameSampling, 0.0, frames.len() as u64);
-
         // With planning on, each satellite plans its own day against its
         // own contact share, then flies the frames under the plan. With
         // planning off the frames go straight down the ordinary path.
-        let planned_runtime;
-        let runtime: &Runtime = match self.config.plan {
-            Some(plan_config) => {
-                let planner = ExecutionPlanner::new(
-                    plan_config,
-                    self.runtime.logic().target(),
-                    env.frame_deadline,
-                    capacity_fraction,
-                );
-                planned_runtime = mission.plan_runtime(self.runtime, &planner, &frames, rec);
-                &planned_runtime
-            }
-            None => self.runtime,
-        };
-        let plan_counts = runtime.plan().map_or((0, 0, 0), |plan| {
-            (
-                plan.ledger.frames_on_orbit,
-                plan.ledger.frames_downlink_raw,
-                plan.ledger.frames_deferred,
+        let planner = self.config.plan.map(|plan_config| {
+            ExecutionPlanner::new(
+                plan_config,
+                runtime.logic().target(),
+                env.frame_deadline,
+                env.capacity_fraction,
             )
         });
+        let day = mission.fly(&mission.frames_with(1), runtime, planner.as_ref(), rec);
 
-        let mut outcomes: Vec<FrameOutcome> = Vec::with_capacity(frames.len());
-        let mut compute_s = 0.0;
-        for (i, frame) in frames.iter().enumerate() {
-            let outcome = runtime.process_frame(frame, i as u64, rec);
-            compute_s += outcome.compute.as_seconds();
-            outcomes.push(outcome);
-        }
-        rec.span(StageId::Mission, compute_s, frames.len() as u64);
-
-        if outcomes.is_empty() {
+        if day.outcomes.is_empty() {
             return vec![JournalRecord {
                 satellite: sat,
                 seq: 0,
@@ -317,30 +267,24 @@ impl<'a> Fleet<'a> {
         // every drain journaled separately so the fleet ledger can
         // attribute transmissions to passes.
         let own = own_passes(&segment.passes, sat as usize);
-        let day = mission.replay_day(
-            &outcomes,
-            &own,
-            None,
-            STORAGE_PX,
-            bits_per_px,
-            rec,
-        );
-        let mut records = Vec::with_capacity(day.drains.len() + 1);
+        let replay = mission.replay_day(&day, &own, None, STORAGE_PX, bits_per_px, rec);
+        let ledger = day.ledger.unwrap_or_default();
+        let mut records = Vec::with_capacity(replay.drains.len() + 1);
         records.push(JournalRecord {
             satellite: sat,
             seq: 0,
             observed_px: env.frames_per_day as f64 * px_per_frame,
-            storage_dropped_px: day.storage_dropped_px,
-            residual_px: day.residual_px,
-            shed_px: day.shed_px,
-            tiles_processed: day.tiles_processed,
-            tiles_elided: day.tiles_elided,
-            planned_on_orbit: plan_counts.0,
-            planned_raw: plan_counts.1,
-            planned_deferred: plan_counts.2,
+            storage_dropped_px: replay.storage_dropped_px,
+            residual_px: replay.residual_px,
+            shed_px: replay.shed_px,
+            tiles_processed: replay.tiles_processed,
+            tiles_elided: replay.tiles_elided,
+            planned_on_orbit: ledger.frames_on_orbit,
+            planned_raw: ledger.frames_downlink_raw,
+            planned_deferred: ledger.frames_deferred,
             ..JournalRecord::default()
         });
-        for (seq, drained) in (1u32..).zip(&day.drains) {
+        for (seq, drained) in (1u32..).zip(&replay.drains) {
             records.push(JournalRecord {
                 satellite: sat,
                 seq,

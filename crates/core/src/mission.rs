@@ -17,12 +17,12 @@ use crate::dvd::DownlinkAccounting;
 use crate::par;
 use crate::plan::{ExecutionPlanner, FrameEstimate, PlacementLedger, TileEstimate};
 use crate::queue::{DownlinkQueue, DrainReport, QueueEntry};
-use crate::runtime::{bent_pipe_frame, tile_pixels, FrameOutcome, Runtime};
+use crate::runtime::{bent_pipe_frame, fold_outcomes, tile_pixels, FrameOutcome, Runtime};
 use kodan_cote::constellation::Constellation;
 use kodan_cote::ground::GroundSegment;
 use kodan_cote::orbit::Orbit;
 use kodan_cote::sensor::{capture_schedule, Imager};
-use kodan_cote::sim::{simulate_space_segment, ServedPass};
+use kodan_cote::sim::{simulate_space_segment, ServedPass, SpaceSegmentReport};
 use kodan_cote::time::Duration;
 use kodan_faults::{ContactFault, ContactOutcome, FaultPlan};
 use kodan_geodata::frame::{FrameImage, World};
@@ -82,33 +82,35 @@ impl SpaceEnvironment {
     /// Builds the Landsat-like environment used throughout the paper's
     /// evaluation: a sun-synchronous 705 km orbit, an OLI-class imager,
     /// and the Landsat ground segment shared among `satellite_count`
-    /// same-plane satellites.
+    /// same-plane satellites, each credited the fleet-average capacity.
     pub fn landsat(satellite_count: usize) -> SpaceEnvironment {
-        let orbit = Orbit::sun_synchronous(705_000.0);
-        let imager = Imager::landsat_oli();
-        let constellation = Constellation::same_plane(orbit, satellite_count);
-        let report = simulate_space_segment(
-            &constellation,
-            &imager,
-            &GroundSegment::landsat(),
-            Duration::from_days(1.0),
-        );
-        let frames_per_day = report.frames_seen_per_satellite;
-        let observed_bits = frames_per_day as f64 * imager.frame_bits();
-        let capacity_per_sat = report.capacity_bits / satellite_count as f64;
+        let (_, segment) = landsat_segment(satellite_count);
+        let capacity_bits = segment.capacity_bits / satellite_count as f64;
+        SpaceEnvironment::on_segment(landsat_orbit(), &segment, capacity_bits)
+    }
+
+    /// The environment of a satellite on `orbit` that flies `segment`
+    /// with `capacity_bits` of downlink per day. Its capacity fraction is
+    /// that capacity over the raw bits it observes per day, capped at 1.
+    pub(crate) fn on_segment(
+        orbit: Orbit,
+        segment: &SpaceSegmentReport,
+        capacity_bits: f64,
+    ) -> SpaceEnvironment {
+        let observed_bits = segment.frames_seen_per_satellite as f64 * segment.frame_bits;
         SpaceEnvironment {
             orbit,
-            imager,
-            frame_deadline: report.frame_deadline,
-            frames_per_day,
-            capacity_fraction: (capacity_per_sat / observed_bits).min(1.0),
+            imager: Imager::landsat_oli(),
+            frame_deadline: segment.frame_deadline,
+            frames_per_day: segment.frames_seen_per_satellite,
+            capacity_fraction: (capacity_bits / observed_bits).min(1.0),
         }
     }
 
     /// A fixed environment for tests: the Landsat geometry with a pinned
     /// capacity fraction, skipping the contact-window simulation.
     pub fn fixed(capacity_fraction: f64) -> SpaceEnvironment {
-        let orbit = Orbit::sun_synchronous(705_000.0);
+        let orbit = landsat_orbit();
         let imager = Imager::landsat_oli();
         let frame_deadline = imager.frame_deadline(&orbit);
         let frames_per_day = imager.frames_in(&orbit, Duration::from_days(1.0));
@@ -120,6 +122,26 @@ impl SpaceEnvironment {
             capacity_fraction,
         }
     }
+}
+
+/// The Landsat orbit: sun-synchronous at 705 km.
+fn landsat_orbit() -> Orbit {
+    Orbit::sun_synchronous(705_000.0)
+}
+
+/// Simulates one day of the Landsat ground segment shared by
+/// `satellite_count` same-plane satellites on the Landsat orbit: the one
+/// contact-window simulation behind [`SpaceEnvironment::landsat`] and a
+/// fleet day.
+pub(crate) fn landsat_segment(satellite_count: usize) -> (Constellation, SpaceSegmentReport) {
+    let constellation = Constellation::same_plane(landsat_orbit(), satellite_count);
+    let segment = simulate_space_segment(
+        &constellation,
+        &Imager::landsat_oli(),
+        &GroundSegment::landsat(),
+        Duration::from_days(1.0),
+    );
+    (constellation, segment)
 }
 
 /// Sampling parameters for a mission run.
@@ -313,13 +335,43 @@ impl<'a> Mission<'a> {
         system: SystemKind,
         recorder: &mut dyn Recorder,
     ) -> MissionReport {
-        let frames = self.sample_frames();
+        let day = self.fly(&self.sample_frames(), runtime, None, recorder);
+        self.summarize(system, &day.total, day.mean_frame_time)
+    }
+
+    /// Flies one satellite's day over `frames`: the one day body behind
+    /// every runtime-flown mission and every fleet satellite.
+    ///
+    /// Records the `FrameSampling` span; with a `planner`, estimates every
+    /// frame on the unplanned `runtime`, plans the day, records the
+    /// `Planning` span and flies `runtime` under the plan; processes every
+    /// frame in frame order through [`Runtime::frame_outcomes`] — fanned
+    /// out over the runtime's workers, bit-identical to serial — and
+    /// records the `Mission` span with the frame-order sum of modeled
+    /// compute.
+    pub(crate) fn fly(
+        &self,
+        frames: &[FrameImage],
+        runtime: &Runtime,
+        planner: Option<&ExecutionPlanner>,
+        recorder: &mut dyn Recorder,
+    ) -> FlownDay {
         recorder.span(StageId::FrameSampling, 0.0, frames.len() as u64);
-        // Fans out across the runtime's worker threads; the aggregate and
-        // the recorder's call sequence are bit-identical to serial.
-        let (total, mean_time) = runtime.process_frames_recorded(frames.iter(), recorder);
+        let planned = planner.map(|planner| {
+            let plan = planner.plan_day(&self.estimate_frames(runtime, frames));
+            recorder.span(StageId::Planning, 0.0, plan.frames().len() as u64);
+            runtime.clone().with_plan(plan)
+        });
+        let runtime = planned.as_ref().unwrap_or(runtime);
+        let outcomes = runtime.frame_outcomes(frames, recorder);
+        let (total, mean_frame_time) = fold_outcomes(&outcomes);
         recorder.span(StageId::Mission, total.compute.as_seconds(), frames.len() as u64);
-        self.summarize(system, &total, mean_time)
+        FlownDay {
+            outcomes,
+            total,
+            mean_frame_time,
+            ledger: runtime.plan().map(|plan| plan.ledger.clone()),
+        }
     }
 
     /// Builds the planner's view of each sampled frame: the unplanned
@@ -396,13 +448,8 @@ impl<'a> Mission<'a> {
         planner: &ExecutionPlanner,
         recorder: &mut dyn Recorder,
     ) -> PlannedMissionReport {
-        let frames = self.sample_frames();
-        recorder.span(StageId::FrameSampling, 0.0, frames.len() as u64);
-        let planned = self.plan_runtime(runtime, planner, &frames, recorder);
-        let ledger = planned.plan().map(|p| p.ledger.clone()).unwrap_or_default();
-        let (total, mean_time) = planned.process_frames_recorded(frames.iter(), recorder);
-        recorder.span(StageId::Mission, total.compute.as_seconds(), frames.len() as u64);
-        let report = self.summarize(SystemKind::Planned, &total, mean_time);
+        let day = self.fly(&self.sample_frames(), runtime, Some(planner), recorder);
+        let report = self.summarize(SystemKind::Planned, &day.total, day.mean_frame_time);
 
         // The all-downlink-raw baseline's DVD is the high-value
         // prevalence of what was observed: shipping everything raw fills
@@ -419,23 +466,10 @@ impl<'a> Mission<'a> {
             recorder.count(CounterId::PlannerDvdShortfallPpm, ppm as u64);
         }
 
-        PlannedMissionReport { report, ledger }
-    }
-
-    /// Plans the day for `frames` and returns `runtime` flying the plan:
-    /// the unplanned `runtime` estimates every frame, `planner` places
-    /// them, and the `Planning` span records how many frames it placed.
-    pub(crate) fn plan_runtime(
-        &self,
-        runtime: &Runtime,
-        planner: &ExecutionPlanner,
-        frames: &[FrameImage],
-        recorder: &mut dyn Recorder,
-    ) -> Runtime {
-        let estimates = self.estimate_frames(runtime, frames);
-        let plan = planner.plan_day(&estimates);
-        recorder.span(StageId::Planning, 0.0, plan.frames().len() as u64);
-        runtime.clone().with_plan(plan)
+        PlannedMissionReport {
+            report,
+            ledger: day.ledger.unwrap_or_default(),
+        }
     }
 
     fn summarize(
@@ -506,29 +540,15 @@ pub struct DetailedMissionReport {
 
 impl<'a> Mission<'a> {
     /// Replays a full day pass-by-pass through a bounded, value-aware
-    /// downlink queue (see [`crate::queue`]).
+    /// downlink queue (see [`crate::queue`]), under an optional
+    /// contact-level fault plan, with telemetry.
     ///
     /// Frame captures arrive every frame deadline; each enqueues the
     /// (cyclically reused) outcome of one sampled frame, scaled to pixel
     /// units. Ground passes drain the queue highest-value-density first.
-    /// `storage_px` bounds on-board storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `storage_px` is not positive or `passes` reference
-    /// other satellites (satellite index != 0 entries are ignored).
-    pub fn run_detailed(
-        &self,
-        runtime: &Runtime,
-        passes: &[ServedPass],
-        storage_px: f64,
-        bits_per_px: f64,
-    ) -> DetailedMissionReport {
-        self.run_detailed_faulted(runtime, passes, storage_px, bits_per_px, None, &mut NullRecorder)
-    }
-
-    /// [`Mission::run_detailed`] under a contact-level fault plan, with
-    /// telemetry.
+    /// `storage_px` bounds on-board storage; `passes` of satellites other
+    /// than 0 are ignored. The frames are flown without telemetry;
+    /// `recorder` sees the queue replay.
     ///
     /// Contacts are identified by their index in the time-sorted
     /// own-satellite pass list, so the fault hitting a given pass is a
@@ -557,10 +577,9 @@ impl<'a> Mission<'a> {
     ) -> DetailedMissionReport {
         assert!(storage_px > 0.0, "storage must be positive");
         assert!(bits_per_px > 0.0, "pixels must have bits");
-        let frames = self.sample_frames();
-        let outcomes = runtime.frame_outcomes(&frames, &mut NullRecorder);
+        let flown = self.fly(&self.sample_frames(), runtime, None, &mut NullRecorder);
         let own = own_passes(passes, 0);
-        let day = self.replay_day(&outcomes, &own, faults, storage_px, bits_per_px, recorder);
+        let day = self.replay_day(&flown, &own, faults, storage_px, bits_per_px, recorder);
         let mut sent_px = 0.0;
         let mut sent_value_px = 0.0;
         for drained in &day.drains {
@@ -599,7 +618,7 @@ impl<'a> Mission<'a> {
     /// queue's lowest-density entries.
     pub(crate) fn replay_day(
         &self,
-        outcomes: &[FrameOutcome],
+        flown: &FlownDay,
         passes: &[ServedPass],
         faults: Option<&FaultPlan>,
         storage_px: f64,
@@ -617,14 +636,11 @@ impl<'a> Mission<'a> {
                 })
                 .collect(),
         };
-        let mean_time = outcomes
-            .iter()
-            .fold(Duration::ZERO, |acc, o| acc + o.compute)
-            / outcomes.len() as f64;
-        let processed_fraction = if mean_time <= self.env.frame_deadline {
+        let outcomes = &flown.outcomes;
+        let processed_fraction = if flown.mean_frame_time <= self.env.frame_deadline {
             1.0
         } else {
-            self.env.frame_deadline / mean_time
+            self.env.frame_deadline / flown.mean_frame_time
         };
 
         let deadline_s = self.env.frame_deadline.as_seconds();
@@ -677,6 +693,19 @@ impl<'a> Mission<'a> {
         day.residual_px = queue.occupied_bits();
         day
     }
+}
+
+/// One satellite's day as [`Mission::fly`] flew it.
+#[derive(Debug)]
+pub(crate) struct FlownDay {
+    /// Per-frame outcomes, in frame order.
+    pub outcomes: Vec<FrameOutcome>,
+    /// The outcomes folded in frame order.
+    pub total: FrameOutcome,
+    /// Mean modeled compute time per frame.
+    pub mean_frame_time: Duration,
+    /// The placement ledger of the plan the frames were flown under.
+    pub ledger: Option<PlacementLedger>,
 }
 
 /// What [`Mission::replay_day`] reports for one satellite's day, in
@@ -951,7 +980,14 @@ mod tests {
         let aggregate = mission.run_with_runtime(&runtime, SystemKind::Kodan);
 
         let bits_per_px = env.imager.frame_bits() / (132.0 * 132.0);
-        let detailed = mission.run_detailed(&runtime, &report.passes, 1e9, bits_per_px);
+        let detailed = mission.run_detailed_faulted(
+            &runtime,
+            &report.passes,
+            1e9,
+            bits_per_px,
+            None,
+            &mut NullRecorder,
+        );
         assert!(detailed.sent_px > 0.0);
         assert!(
             (detailed.transmitted_density - aggregate.dvd).abs() < 0.2,
@@ -1001,8 +1037,22 @@ mod tests {
         let runtime = Runtime::new(logic, a.engine.clone());
         let mission = Mission::new(&env, &world, params());
         let bits_per_px = env.imager.frame_bits() / (132.0 * 132.0);
-        let roomy = mission.run_detailed(&runtime, &report.passes, 1e9, bits_per_px);
-        let tight = mission.run_detailed(&runtime, &report.passes, 4.0e4, bits_per_px);
+        let roomy = mission.run_detailed_faulted(
+            &runtime,
+            &report.passes,
+            1e9,
+            bits_per_px,
+            None,
+            &mut NullRecorder,
+        );
+        let tight = mission.run_detailed_faulted(
+            &runtime,
+            &report.passes,
+            4.0e4,
+            bits_per_px,
+            None,
+            &mut NullRecorder,
+        );
         assert!(tight.storage_dropped_px > roomy.storage_dropped_px);
         // The value-aware queue preferentially keeps high-value data, so
         // transmitted density does not collapse under storage pressure.

@@ -6,7 +6,7 @@
 //! entries are evicted — so a saturated downlink and finite storage both
 //! preferentially preserve high-value data.
 //!
-//! [`crate::mission::Mission::run_detailed`] replays a day of captures
+//! [`crate::mission::Mission::run_detailed_faulted`] replays a day of captures
 //! through this queue against the contention-resolved passes from
 //! `kodan-cote`, giving a pass-by-pass account of what reaches the
 //! ground (the fine-grained counterpart of the aggregate capacity model

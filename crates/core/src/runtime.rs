@@ -603,17 +603,7 @@ impl Runtime {
         I: IntoIterator<Item = &'a FrameImage>,
     {
         let frames: Vec<&FrameImage> = frames.into_iter().collect();
-        let outcomes = self.frame_outcomes(&frames, recorder);
-        let mut total = FrameOutcome::default();
-        for o in &outcomes {
-            total.absorb(o);
-        }
-        let mean = if outcomes.is_empty() {
-            Duration::ZERO
-        } else {
-            total.compute / outcomes.len() as f64
-        };
-        (total, mean)
+        fold_outcomes(&self.frame_outcomes(&frames, recorder))
     }
 
     /// Processes each frame at its index with [`Runtime::process_frame`]
@@ -630,6 +620,21 @@ impl Runtime {
             self.process_frame(frame.borrow(), i as u64, rec)
         })
     }
+}
+
+/// Folds per-frame outcomes in frame order into their aggregate and the
+/// mean per-frame compute time (zero without frames).
+pub(crate) fn fold_outcomes(outcomes: &[FrameOutcome]) -> (FrameOutcome, Duration) {
+    let mut total = FrameOutcome::default();
+    for o in outcomes {
+        total.absorb(o);
+    }
+    let mean = if outcomes.is_empty() {
+        Duration::ZERO
+    } else {
+        total.compute / outcomes.len() as f64
+    };
+    (total, mean)
 }
 
 /// Reports a frame's planned placement; an unplanned frame reports

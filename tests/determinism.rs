@@ -5,19 +5,32 @@
 mod common;
 
 use kodan::mission::{Mission, MissionParams, SpaceEnvironment, SystemKind};
-use kodan::pipeline::Transformation;
+use kodan::pipeline::{Transformation, TransformationArtifacts};
 use kodan::runtime::Runtime;
 use kodan::KodanConfig;
 use kodan_geodata::{Dataset, DatasetConfig, World};
 use kodan_hw::HwTarget;
 use kodan_ml::ModelArch;
 use kodan_telemetry::SummaryRecorder;
+use std::sync::OnceLock;
 
 fn small_dataset(seed: u64) -> Dataset {
     let mut cfg = DatasetConfig::small(seed);
     cfg.frame_count = 8;
     cfg.frame_px = 132;
     Dataset::sample(&World::new(42), &cfg)
+}
+
+/// The `fast(9)` MobileNetV2 artifacts on `small_dataset(1)`, trained
+/// once per test binary and shared by every test that flies them rather
+/// than checking training itself.
+fn shared_artifacts() -> &'static TransformationArtifacts {
+    static ARTIFACTS: OnceLock<TransformationArtifacts> = OnceLock::new();
+    ARTIFACTS.get_or_init(|| {
+        Transformation::new(KodanConfig::fast(9))
+            .run(&small_dataset(1), ModelArch::MobileNetV2DilatedC1)
+            .expect("transformation succeeds")
+    })
 }
 
 #[test]
@@ -46,10 +59,7 @@ fn different_seeds_change_the_artifacts() {
 
 #[test]
 fn missions_are_reproducible() {
-    let dataset = small_dataset(1);
-    let artifacts = Transformation::new(KodanConfig::fast(9))
-        .run(&dataset, ModelArch::MobileNetV2DilatedC1)
-        .expect("transformation succeeds");
+    let artifacts = shared_artifacts();
     let env = SpaceEnvironment::fixed(0.21);
     let world = World::new(42);
     let params = MissionParams {
@@ -114,10 +124,7 @@ fn parallel_missions_match_serial_bitwise() {
     // The data-parallel frame path must be a pure wall-clock optimization:
     // every MissionReport field — f64 aggregates included — must be
     // bit-identical whether one worker or many processed the frames.
-    let dataset = small_dataset(1);
-    let artifacts = Transformation::new(KodanConfig::fast(9))
-        .run(&dataset, ModelArch::MobileNetV2DilatedC1)
-        .expect("transformation succeeds");
+    let artifacts = shared_artifacts();
     let env = SpaceEnvironment::fixed(0.21);
     let world = World::new(42);
     let params = MissionParams {
@@ -146,10 +153,7 @@ fn parallel_telemetry_snapshots_match_serial_byte_for_byte() {
     // Per-worker tape recorders replayed in frame-index order must
     // reproduce the serial telemetry stream exactly: same counters, same
     // span aggregates, same JSON bytes.
-    let dataset = small_dataset(1);
-    let artifacts = Transformation::new(KodanConfig::fast(9))
-        .run(&dataset, ModelArch::MobileNetV2DilatedC1)
-        .expect("transformation succeeds");
+    let artifacts = shared_artifacts();
     let env = SpaceEnvironment::fixed(0.21);
     let world = World::new(42);
     let params = MissionParams {
@@ -232,10 +236,7 @@ fn fault_injected_missions_are_byte_identical_at_any_worker_count() {
     use kodan_cote::time::{Duration, Epoch};
     use kodan_faults::{FaultConfig, FaultPlan};
 
-    let dataset = small_dataset(1);
-    let artifacts = Transformation::new(KodanConfig::fast(9))
-        .run(&dataset, ModelArch::MobileNetV2DilatedC1)
-        .expect("transformation succeeds");
+    let artifacts = shared_artifacts();
     let env = SpaceEnvironment::fixed(0.21);
     let world = World::new(42);
     let params = MissionParams {
@@ -317,10 +318,7 @@ fn saved_artifacts_reload_byte_identically() {
     use kodan_telemetry::NullRecorder;
     use std::path::Path;
 
-    let dataset = small_dataset(1);
-    let artifacts = Transformation::new(KodanConfig::fast(9))
-        .run(&dataset, ModelArch::MobileNetV2DilatedC1)
-        .expect("transformation succeeds");
+    let artifacts = shared_artifacts();
     let env = SpaceEnvironment::fixed(0.21);
     let logic = artifacts.select_with_capacity(
         HwTarget::OrinAgx15W,
@@ -332,9 +330,9 @@ fn saved_artifacts_reload_byte_identically() {
     std::fs::remove_dir_all(&root).ok();
     let dir_a = root.join("a");
     let dir_b = root.join("b");
-    let report_a = save_artifacts(&artifacts, &logic, &dir_a, &mut NullRecorder)
+    let report_a = save_artifacts(artifacts, &logic, &dir_a, &mut NullRecorder)
         .expect("save succeeds");
-    let report_b = save_artifacts(&artifacts, &logic, &dir_b, &mut NullRecorder)
+    let report_b = save_artifacts(artifacts, &logic, &dir_b, &mut NullRecorder)
         .expect("second save succeeds");
     assert_eq!(report_a, report_b, "re-saving must be byte-deterministic");
     assert!(report_a.total_bytes > 0);
@@ -351,7 +349,7 @@ fn saved_artifacts_reload_byte_identically() {
     let loaded = load_artifacts(&dir_a, &mut NullRecorder).expect("load succeeds");
     assert!(loaded.recovered.is_empty(), "clean store needs no recovery");
     assert!(loaded.quarantined_slots.is_empty());
-    assert_eq!(loaded.artifacts, artifacts, "artifacts round-trip exactly");
+    assert_eq!(&loaded.artifacts, artifacts, "artifacts round-trip exactly");
     assert_eq!(loaded.selection, logic, "selection logic round-trips exactly");
 
     std::fs::remove_dir_all(&root).ok();
@@ -366,10 +364,7 @@ fn missions_from_loaded_artifacts_match_in_memory_at_any_worker_count() {
     use kodan_telemetry::NullRecorder;
     use std::path::Path;
 
-    let dataset = small_dataset(1);
-    let artifacts = Transformation::new(KodanConfig::fast(9))
-        .run(&dataset, ModelArch::MobileNetV2DilatedC1)
-        .expect("transformation succeeds");
+    let artifacts = shared_artifacts();
     let env = SpaceEnvironment::fixed(0.21);
     let world = World::new(42);
     let params = MissionParams {
@@ -385,7 +380,7 @@ fn missions_from_loaded_artifacts_match_in_memory_at_any_worker_count() {
     );
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("determinism_loaded_mission");
     std::fs::remove_dir_all(&dir).ok();
-    save_artifacts(&artifacts, &logic, &dir, &mut NullRecorder).expect("save succeeds");
+    save_artifacts(artifacts, &logic, &dir, &mut NullRecorder).expect("save succeeds");
     let loaded = load_artifacts(&dir, &mut NullRecorder).expect("load succeeds");
 
     let fly = |logic: &kodan::SelectionLogic,
@@ -519,10 +514,7 @@ fn fleet_reports_and_telemetry_are_byte_identical_at_any_worker_count() {
     use kodan_wire::ArtifactStore;
     use std::path::Path;
 
-    let dataset = small_dataset(1);
-    let artifacts = Transformation::new(KodanConfig::fast(9))
-        .run(&dataset, ModelArch::MobileNetV2DilatedC1)
-        .expect("transformation succeeds");
+    let artifacts = shared_artifacts();
     let env = SpaceEnvironment::fixed(0.21);
     let world = World::new(42);
     let params = MissionParams {
@@ -587,10 +579,7 @@ fn planned_missions_are_byte_identical_at_any_worker_count() {
     // telemetry JSON at 1, 2 and 4 workers.
     use kodan::{ExecutionPlanner, PlanConfig};
 
-    let dataset = small_dataset(1);
-    let artifacts = Transformation::new(KodanConfig::fast(9))
-        .run(&dataset, ModelArch::MobileNetV2DilatedC1)
-        .expect("transformation succeeds");
+    let artifacts = shared_artifacts();
     let env = SpaceEnvironment::fixed(0.21);
     let world = World::new(42);
     let params = MissionParams {
@@ -642,10 +631,7 @@ fn plan_off_missions_are_untouched_by_planner_availability() {
     // installing the plan, so the caller's runtime stays plan-free).
     use kodan::{ExecutionPlanner, PlanConfig};
 
-    let dataset = small_dataset(1);
-    let artifacts = Transformation::new(KodanConfig::fast(9))
-        .run(&dataset, ModelArch::MobileNetV2DilatedC1)
-        .expect("transformation succeeds");
+    let artifacts = shared_artifacts();
     let env = SpaceEnvironment::fixed(0.21);
     let world = World::new(42);
     let params = MissionParams {
@@ -691,10 +677,7 @@ fn plan_off_missions_are_untouched_by_planner_availability() {
 
 #[test]
 fn selection_is_reproducible_across_rederivations() {
-    let dataset = small_dataset(1);
-    let artifacts = Transformation::new(KodanConfig::fast(9))
-        .run(&dataset, ModelArch::MobileNetV2DilatedC1)
-        .expect("transformation succeeds");
+    let artifacts = shared_artifacts();
     let env = SpaceEnvironment::fixed(0.21);
     for target in HwTarget::ALL {
         let a = artifacts.select_with_capacity(target, env.frame_deadline, env.capacity_fraction);
@@ -711,10 +694,7 @@ fn trace_export_is_byte_identical_at_any_worker_count() {
     // on the worker count.
     use kodan_telemetry::TraceBuilder;
 
-    let dataset = small_dataset(1);
-    let artifacts = Transformation::new(KodanConfig::fast(9))
-        .run(&dataset, ModelArch::MobileNetV2DilatedC1)
-        .expect("transformation succeeds");
+    let artifacts = shared_artifacts();
     let env = SpaceEnvironment::fixed(0.21);
     let world = World::new(42);
     let params = MissionParams {
@@ -788,10 +768,7 @@ fn black_box_reports_are_byte_identical_at_any_worker_count() {
     use kodan_faults::{FaultConfig, FaultPlan};
     use kodan_telemetry::{open_blackbox, seal_blackbox, FlightRecorder};
 
-    let dataset = small_dataset(1);
-    let artifacts = Transformation::new(KodanConfig::fast(9))
-        .run(&dataset, ModelArch::MobileNetV2DilatedC1)
-        .expect("transformation succeeds");
+    let artifacts = shared_artifacts();
     let env = SpaceEnvironment::fixed(0.21);
     let world = World::new(42);
     let params = MissionParams {
